@@ -5,7 +5,7 @@ use rtpb_bench::{criterion_group, criterion_main};
 use rtpb_core::admission::evaluate;
 use rtpb_core::config::{ProtocolConfig, SchedulabilityTest};
 use rtpb_core::store::ObjectStore;
-use rtpb_types::{ObjectId, ObjectSpec, Time, TimeDelta};
+use rtpb_types::{ObjectSpec, Time, TimeDelta};
 
 fn spec() -> ObjectSpec {
     ObjectSpec::builder("bench")
@@ -30,7 +30,7 @@ fn bench_admission(c: &mut Criterion) {
         let store = store_with(n);
         let config = ProtocolConfig::default();
         group.bench_with_input(BenchmarkId::new("liu_layland", n), &n, |b, _| {
-            b.iter(|| evaluate(&store, &[], ObjectId::new(n as u32), &spec(), &[], &config));
+            b.iter(|| evaluate(&store, &[], &[spec()], &config));
         });
     }
     // Compare schedulability tests at a fixed size.
@@ -46,7 +46,18 @@ fn bench_admission(c: &mut Criterion) {
             ..ProtocolConfig::default()
         };
         group.bench_function(BenchmarkId::new("test", format!("{test:?}")), |b| {
-            b.iter(|| evaluate(&store, &[], ObjectId::new(64), &spec(), &[], &config));
+            b.iter(|| evaluate(&store, &[], &[spec()], &config));
+        });
+    }
+    // One batch of n newcomers: a single evaluation, linear in n.
+    for &n in &[16usize, 256, 4096] {
+        let batch = vec![spec(); n];
+        let config = ProtocolConfig {
+            admission_enabled: false,
+            ..ProtocolConfig::default()
+        };
+        group.bench_with_input(BenchmarkId::new("batch", n), &n, |b, _| {
+            b.iter(|| evaluate(&ObjectStore::new(), &[], &batch, &config));
         });
     }
     group.finish();

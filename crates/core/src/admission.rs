@@ -11,15 +11,18 @@
 //!    both members' client periods (Theorem 6 with zero variance:
 //!    `p ≤ δ_ij`).
 //! 4. The update-transmission task set — every existing object plus the
-//!    newcomer, each with period `r_i` derived from its *effective* window
+//!    newcomers, each with period `r_i` derived from its *effective* window
 //!    (its own window, tightened by any inter-object constraint) — passes
 //!    the configured schedulability test.
 //!
 //! On rejection the error carries [`QosNegotiation`] hints so the client
 //! can renegotiate (§4.2: "The primary can provide feedback so that the
 //! client can negotiate for an alternative quality of service").
+//!
+//! A batch of requests is judged as if admitted one at a time, stopping
+//! at the first rejection, but in linear time; see [`evaluate`].
 
-use crate::config::{ProtocolConfig, SchedulabilityTest};
+use crate::config::{ProtocolConfig, SchedulabilityTest, SchedulingMode};
 use crate::store::ObjectStore;
 use crate::update_sched::{build_schedule, UpdateSchedule};
 use rtpb_sched::analysis::response_time::rta_schedulable;
@@ -30,91 +33,225 @@ use rtpb_sched::task::{PeriodicTask, TaskSet};
 use rtpb_types::{
     AdmissionError, InterObjectConstraint, ObjectId, ObjectSpec, QosNegotiation, TimeDelta,
 };
+use std::collections::HashMap;
 
-/// A positive admission decision: the schedule the primary should run
-/// after installing the new object.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The decision on a batch of registration requests.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionOutcome {
-    /// The send schedule covering every object including the newcomer.
-    pub schedule: UpdateSchedule,
-    /// Update-task utilization under *normal* periods (what the
-    /// schedulability test saw).
+    /// How many leading specs of the batch are admitted.
+    pub admitted: usize,
+    /// The send schedule covering every stored object plus the admitted
+    /// prefix; `None` when nothing was admitted (the schedule in force
+    /// stands).
+    pub schedule: Option<UpdateSchedule>,
+    /// Update-task utilization of that set under *normal* periods (what
+    /// the schedulability test saw), in thousandths.
     pub utilization_millis: u32,
+    /// The inter-object constraints the admitted specs bring.
+    pub constraints: Vec<InterObjectConstraint>,
+    /// The error of the first rejected spec, which ends the batch.
+    pub rejected: Option<AdmissionError>,
 }
 
-/// Evaluates an admission request.
+/// Evaluates a batch of admission requests.
 ///
-/// `store` holds the already-admitted objects, `constraints` the
-/// inter-object constraints already in force, `new_id` the id the object
-/// will receive, and `new_constraints` any constraints between the
-/// newcomer and existing objects.
+/// `store` holds the already-admitted objects and `constraints` the
+/// inter-object constraints already in force. The newcomers in `batch`
+/// receive consecutive ids from [`ObjectStore::peek_next_id`], and each
+/// may constrain itself against stored objects or against *earlier*
+/// members of the batch.
+///
+/// The result is exactly that of admitting the specs one at a time and
+/// stopping at the first rejection, at linear cost. Gates 1–3 judge one
+/// spec each and run in one pass. The coalescing and schedulability gates
+/// are monotone in the admitted prefix: constraints only tighten windows,
+/// and tasks and shorter periods only add utilization and interference.
+/// So one evaluation of the whole batch decides the common case, and a
+/// rejection is located by binary search over prefixes. Each evaluation
+/// is O(n + c) for n objects and c constraints (O(n²) under
+/// [`SchedulabilityTest::ResponseTime`], whose analysis scans every
+/// higher-priority task).
 ///
 /// With `config.admission_enabled == false`, all gates are skipped and a
 /// schedule is computed unconditionally (the paper's Figures 7 and 10).
-///
-/// # Errors
-///
-/// Returns the first failing gate as an [`AdmissionError`].
+#[must_use]
 pub fn evaluate(
     store: &ObjectStore,
     constraints: &[InterObjectConstraint],
-    new_id: ObjectId,
-    new_spec: &ObjectSpec,
-    new_constraints: &[InterObjectConstraint],
+    batch: &[ObjectSpec],
     config: &ProtocolConfig,
-) -> Result<AdmissionOutcome, AdmissionError> {
-    if config.admission_enabled {
-        check_primary_bound(new_spec)?;
-        check_window(new_spec, config)?;
-        check_inter_object(store, new_id, new_spec, new_constraints)?;
+) -> AdmissionOutcome {
+    let first_id = store.peek_next_id().index();
+    let id_of = |k: usize| ObjectId::new(first_id + k as u32);
+    // Every newcomer's constraints, flattened; `ends[k]` marks where the
+    // constraints of specs `0..k` stop.
+    let mut batch_constraints = Vec::new();
+    let mut ends = Vec::with_capacity(batch.len() + 1);
+    ends.push(0);
+    for (k, spec) in batch.iter().enumerate() {
+        let id = id_of(k);
+        batch_constraints.extend(
+            spec.constraints()
+                .iter()
+                .map(|&(partner, bound)| InterObjectConstraint::new(id, partner, bound)),
+        );
+        ends.push(batch_constraints.len());
     }
 
-    // Assemble (id, effective window, send cost) for everything.
-    let mut all_constraints: Vec<InterObjectConstraint> = constraints.to_vec();
-    all_constraints.extend_from_slice(new_constraints);
+    // Gates 1–3: the first spec failing on its own ends the candidate
+    // prefix.
+    let mut limit = batch.len();
+    let mut gate_error = None;
+    if config.admission_enabled {
+        let partner_spec = |k: usize, partner: ObjectId| {
+            let index = partner.index().checked_sub(first_id);
+            match index {
+                Some(j) if (j as usize) < k => Some(&batch[j as usize]),
+                Some(_) => None,
+                None => store.get(partner).map(|e| e.spec()),
+            }
+        };
+        for (k, spec) in batch.iter().enumerate() {
+            let checked = check_primary_bound(spec)
+                .and_then(|()| check_window(spec, config))
+                .and_then(|()| {
+                    check_inter_object(
+                        id_of(k),
+                        spec,
+                        &batch_constraints[ends[k]..ends[k + 1]],
+                        |partner| partner_spec(k, partner),
+                    )
+                });
+            if let Err(e) = checked {
+                limit = k;
+                gate_error = Some(e);
+                break;
+            }
+        }
+    }
 
-    let mut objects: Vec<(ObjectId, TimeDelta, TimeDelta)> = store
-        .iter()
-        .map(|(id, e)| {
-            (
-                id,
-                effective_window(id, e.spec().window(), &all_constraints),
-                config.send_cost(e.spec().size_bytes()),
+    // The constraint index: each object's tightest constrained bound,
+    // over the constraints in force before the batch.
+    let mut tightest: HashMap<ObjectId, TimeDelta> = HashMap::new();
+    for c in constraints {
+        tighten(&mut tightest, c);
+    }
+    let candidate = |m: usize| {
+        let mut tightest = tightest.clone();
+        for c in &batch_constraints[..ends[m]] {
+            tighten(&mut tightest, c);
+        }
+        let entry = |id: ObjectId, spec: &ObjectSpec| {
+            let own = spec.window();
+            let window = tightest.get(&id).map_or(own, |&bound| own.min(bound));
+            (id, window, config.send_cost(spec.size_bytes()))
+        };
+        let objects: Vec<(ObjectId, TimeDelta, TimeDelta)> = store
+            .iter()
+            .map(|(id, e)| entry(id, e.spec()))
+            .chain(
+                batch[..m]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, spec)| entry(id_of(k), spec)),
             )
-        })
-        .collect();
-    objects.push((
-        new_id,
-        effective_window(new_id, new_spec.window(), &all_constraints),
-        config.send_cost(new_spec.size_bytes()),
-    ));
-
-    // The schedulability gate always judges the guarantee-bearing
-    // *normal* periods (Theorem 5 + loss slack); compressed scheduling
-    // only packs extra sends into admitted capacity afterwards.
-    let normal_config = ProtocolConfig {
-        scheduling_mode: crate::config::SchedulingMode::Normal,
-        ..config.clone()
+            .collect();
+        Candidate::judge(objects, config)
     };
-    let test_schedule = build_schedule(&objects, &normal_config);
-    let utilization: f64 = objects
-        .iter()
-        .map(|&(id, _, cost)| {
-            let period = test_schedule.period(id).expect("scheduled above");
-            cost.as_nanos() as f64 / period.as_nanos() as f64
-        })
-        .sum();
 
-    if config.admission_enabled {
-        check_coalescing_window(&objects, &test_schedule, config)?;
-        check_schedulability(&objects, &test_schedule, utilization, config)?;
-    }
-    let schedule = build_schedule(&objects, config);
+    // The largest passing prefix, and the error of the one after it.
+    let (admitted, passed, rejected) = if limit == 0 {
+        (0, None, gate_error)
+    } else {
+        match candidate(limit) {
+            Ok(set) => (limit, Some(set), gate_error),
+            Err(e) => {
+                let (mut lo, mut hi, mut passed, mut error) = (0, limit, None, e);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    match candidate(mid) {
+                        Ok(set) => (lo, passed) = (mid, Some(set)),
+                        Err(e) => (hi, error) = (mid, e),
+                    }
+                }
+                (lo, passed, Some(error))
+            }
+        }
+    };
 
-    Ok(AdmissionOutcome {
+    let (schedule, utilization_millis) = passed.map_or((None, 0), |set| {
+        let utilization_millis = (set.utilization * 1000.0).round() as u32;
+        (Some(set.into_schedule(config)), utilization_millis)
+    });
+    batch_constraints.truncate(ends[admitted]);
+    AdmissionOutcome {
+        admitted,
         schedule,
-        utilization_millis: (utilization * 1000.0).round() as u32,
-    })
+        utilization_millis,
+        constraints: batch_constraints,
+        rejected,
+    }
+}
+
+/// One candidate object set that passed the coalescing and
+/// schedulability gates.
+struct Candidate {
+    /// `(id, effective window, send cost)` in id order.
+    objects: Vec<(ObjectId, TimeDelta, TimeDelta)>,
+    /// The normal-mode schedule the gates judged.
+    normal: UpdateSchedule,
+    utilization: f64,
+}
+
+impl Candidate {
+    /// Runs the set-wide gates over `objects` (skipped with admission
+    /// disabled).
+    fn judge(
+        objects: Vec<(ObjectId, TimeDelta, TimeDelta)>,
+        config: &ProtocolConfig,
+    ) -> Result<Candidate, AdmissionError> {
+        // The schedulability gate always judges the guarantee-bearing
+        // *normal* periods (Theorem 5 + loss slack); compressed scheduling
+        // only packs extra sends into admitted capacity afterwards.
+        let normal_config = ProtocolConfig {
+            scheduling_mode: SchedulingMode::Normal,
+            ..config.clone()
+        };
+        let normal = build_schedule(&objects, &normal_config);
+        let utilization: f64 = objects
+            .iter()
+            .zip(normal.iter())
+            .map(|(&(_, _, cost), (_, period))| cost.as_nanos() as f64 / period.as_nanos() as f64)
+            .sum();
+        if config.admission_enabled {
+            check_coalescing_window(&objects, &normal, config)?;
+            check_schedulability(&objects, &normal, utilization, config)?;
+        }
+        Ok(Candidate {
+            objects,
+            normal,
+            utilization,
+        })
+    }
+
+    /// The schedule to install: the judged one in normal mode, rebuilt
+    /// under the configured mode otherwise.
+    fn into_schedule(self, config: &ProtocolConfig) -> UpdateSchedule {
+        match config.scheduling_mode {
+            SchedulingMode::Normal => self.normal,
+            SchedulingMode::Compressed => build_schedule(&self.objects, config),
+        }
+    }
+}
+
+/// Records constraint `c` in the per-object index of tightest bounds.
+fn tighten(tightest: &mut HashMap<ObjectId, TimeDelta>, c: &InterObjectConstraint) {
+    for id in [c.first(), c.second()] {
+        tightest
+            .entry(id)
+            .and_modify(|bound| *bound = (*bound).min(c.bound()))
+            .or_insert(c.bound());
+    }
 }
 
 /// Gate 1: `p_i ≤ δ_i^P`.
@@ -148,20 +285,20 @@ fn check_window(spec: &ObjectSpec, config: &ProtocolConfig) -> Result<(), Admiss
     Ok(())
 }
 
-/// Gate 3: Theorem 6 (zero-variance form) for every new constraint.
-fn check_inter_object(
-    store: &ObjectStore,
+/// Gate 3: Theorem 6 (zero-variance form) for every constraint the
+/// newcomer `new_id` brings; `partner_spec` looks up the objects already
+/// admitted when it is evaluated.
+fn check_inter_object<'a>(
     new_id: ObjectId,
     new_spec: &ObjectSpec,
     new_constraints: &[InterObjectConstraint],
+    partner_spec: impl Fn(ObjectId) -> Option<&'a ObjectSpec>,
 ) -> Result<(), AdmissionError> {
     for c in new_constraints {
         let partner = c
             .partner_of(new_id)
             .ok_or(AdmissionError::UnknownObject(new_id))?;
-        let partner_entry = store
-            .get(partner)
-            .ok_or(AdmissionError::UnknownObject(partner))?;
+        let partner_spec = partner_spec(partner).ok_or(AdmissionError::UnknownObject(partner))?;
         if new_spec.update_period() > c.bound() {
             return Err(AdmissionError::InterObjectTooTight {
                 bound: c.bound(),
@@ -169,10 +306,10 @@ fn check_inter_object(
                 object: new_id,
             });
         }
-        if partner_entry.spec().update_period() > c.bound() {
+        if partner_spec.update_period() > c.bound() {
             return Err(AdmissionError::InterObjectTooTight {
                 bound: c.bound(),
-                period: partner_entry.spec().update_period(),
+                period: partner_spec.update_period(),
                 object: partner,
             });
         }
@@ -265,25 +402,12 @@ fn check_schedulability(
     }
 }
 
-/// The effective window of `id`: its own window tightened by every
-/// inter-object constraint involving it (the §4.2 conversion of
-/// inter-object constraints into external ones).
-fn effective_window(
-    id: ObjectId,
-    own_window: TimeDelta,
-    constraints: &[InterObjectConstraint],
-) -> TimeDelta {
-    constraints
-        .iter()
-        .filter(|c| c.involves(id))
-        .map(InterObjectConstraint::bound)
-        .fold(own_window, TimeDelta::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtpb_types::Time;
+    use crate::primary::Primary;
+    use rtpb_sim::propcheck::{run_cases, Gen};
+    use rtpb_types::{NodeId, Time};
 
     fn ms(v: u64) -> TimeDelta {
         TimeDelta::from_millis(v)
@@ -303,24 +427,37 @@ mod tests {
         spec: &ObjectSpec,
         config: &ProtocolConfig,
     ) -> Result<ObjectId, AdmissionError> {
-        let id = ObjectId::new(store.len() as u32);
-        evaluate(store, &[], id, spec, &[], config)?;
+        evaluate_one(store, spec, config)?;
         Ok(store.register(spec.clone(), Time::ZERO))
+    }
+
+    #[derive(Debug)]
+    struct Admitted {
+        schedule: UpdateSchedule,
+        utilization_millis: u32,
+    }
+
+    /// A one-spec batch through [`evaluate`].
+    fn evaluate_one(
+        store: &ObjectStore,
+        spec: &ObjectSpec,
+        config: &ProtocolConfig,
+    ) -> Result<Admitted, AdmissionError> {
+        let out = evaluate(store, &[], std::slice::from_ref(spec), config);
+        match out.rejected {
+            Some(e) => Err(e),
+            None => Ok(Admitted {
+                schedule: out.schedule.expect("one spec admitted"),
+                utilization_millis: out.utilization_millis,
+            }),
+        }
     }
 
     #[test]
     fn admits_a_reasonable_object() {
         let store = ObjectStore::new();
         let s = spec(100, 150, 550);
-        let out = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &s,
-            &[],
-            &ProtocolConfig::default(),
-        )
-        .unwrap();
+        let out = evaluate_one(&store, &s, &ProtocolConfig::default()).unwrap();
         assert_eq!(out.schedule.period(ObjectId::new(0)), Some(ms(195)));
         assert!(out.utilization_millis < 100);
     }
@@ -329,15 +466,7 @@ mod tests {
     fn gate1_period_exceeding_primary_bound() {
         let store = ObjectStore::new();
         let s = spec(200, 150, 550);
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &s,
-            &[],
-            &ProtocolConfig::default(),
-        )
-        .unwrap_err();
+        let err = evaluate_one(&store, &s, &ProtocolConfig::default()).unwrap_err();
         match err {
             AdmissionError::PeriodExceedsPrimaryBound { negotiation, .. } => {
                 assert_eq!(negotiation.min_primary_bound, Some(ms(200)));
@@ -351,15 +480,7 @@ mod tests {
         let store = ObjectStore::new();
         // Window = 8 ms ≤ ℓ = 10 ms.
         let s = spec(100, 150, 158);
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &s,
-            &[],
-            &ProtocolConfig::default(),
-        )
-        .unwrap_err();
+        let err = evaluate_one(&store, &s, &ProtocolConfig::default()).unwrap_err();
         match err {
             AdmissionError::WindowTooSmall {
                 window,
@@ -379,15 +500,11 @@ mod tests {
         let mut store = ObjectStore::new();
         let existing =
             admit_one(&mut store, &spec(100, 150, 550), &ProtocolConfig::default()).unwrap();
-        let new_id = ObjectId::new(1);
         // δ_ij = 80 ms < the newcomer's 100 ms period.
-        let c = InterObjectConstraint::new(new_id, existing, ms(80));
-        let err = evaluate(
+        let c = (existing, ms(80));
+        let err = evaluate_one(
             &store,
-            &[],
-            new_id,
-            &spec(100, 150, 550),
-            &[c],
+            &spec(100, 150, 550).with_constraints(&[c]),
             &ProtocolConfig::default(),
         )
         .unwrap_err();
@@ -400,15 +517,11 @@ mod tests {
         // Existing object writes every 300 ms.
         let existing =
             admit_one(&mut store, &spec(300, 400, 900), &ProtocolConfig::default()).unwrap();
-        let new_id = ObjectId::new(1);
         // Constraint 250 ms: newcomer (100 ms) fine, partner (300 ms) violates.
-        let c = InterObjectConstraint::new(new_id, existing, ms(250));
-        let err = evaluate(
+        let c = (existing, ms(250));
+        let err = evaluate_one(
             &store,
-            &[],
-            new_id,
-            &spec(100, 150, 550),
-            &[c],
+            &spec(100, 150, 550).with_constraints(&[c]),
             &ProtocolConfig::default(),
         )
         .unwrap_err();
@@ -424,15 +537,11 @@ mod tests {
     #[test]
     fn gate3_unknown_partner() {
         let store = ObjectStore::new();
-        let new_id = ObjectId::new(0);
         let ghost = ObjectId::new(77);
-        let c = InterObjectConstraint::new(new_id, ghost, ms(500));
-        let err = evaluate(
+        let c = (ghost, ms(500));
+        let err = evaluate_one(
             &store,
-            &[],
-            new_id,
-            &spec(100, 150, 550),
-            &[c],
+            &spec(100, 150, 550).with_constraints(&[c]),
             &ProtocolConfig::default(),
         )
         .unwrap_err();
@@ -481,7 +590,8 @@ mod tests {
     #[test]
     fn capacity_grows_with_window_size() {
         // Expensive sends keep the admitted counts small so this test
-        // stays fast (the evaluation is O(n) per registration).
+        // stays fast: each one-spec evaluation re-judges the whole
+        // admitted set, so admitting one object at a time is quadratic.
         let config = ProtocolConfig {
             send_cost_base: TimeDelta::from_millis(4),
             ..ProtocolConfig::default()
@@ -514,15 +624,7 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let store = ObjectStore::new();
-        let out = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &spec(100, 150, 550),
-            &[],
-            &config,
-        )
-        .unwrap();
+        let out = evaluate_one(&store, &spec(100, 150, 550), &config).unwrap();
         assert_eq!(out.schedule.period(ObjectId::new(0)), Some(ms(195)));
     }
 
@@ -534,15 +636,7 @@ mod tests {
             ..ProtocolConfig::default()
         };
         let store = ObjectStore::new();
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(0),
-            &spec(100, 150, 550),
-            &[],
-            &config,
-        )
-        .unwrap_err();
+        let err = evaluate_one(&store, &spec(100, 150, 550), &config).unwrap_err();
         match err {
             AdmissionError::CoalescingWindowTooWide {
                 period,
@@ -573,30 +667,15 @@ mod tests {
         // Window 150 ms → period 70 ms; 70 + 60 + 10 ≤ 150 (just fits).
         let tight = admit_one(&mut store, &spec(100, 150, 300), &config).unwrap();
         // A roomy newcomer is fine and must not dislodge the tight object.
-        let out = evaluate(
-            &store,
-            &[],
-            ObjectId::new(1),
-            &spec(100, 150, 550),
-            &[],
-            &config,
-        )
-        .unwrap();
+        let out = evaluate_one(&store, &spec(100, 150, 550), &config).unwrap();
         assert_eq!(out.schedule.period(tight), Some(ms(70)));
 
         // But an inter-object constraint that tightens the pair below the
         // coalescing headroom is rejected.
         // Effective window 120 ms → period 55 ms; 55 + 60 + 10 > 120.
-        let c = InterObjectConstraint::new(ObjectId::new(1), tight, ms(120));
-        let err = evaluate(
-            &store,
-            &[],
-            ObjectId::new(1),
-            &spec(100, 150, 550),
-            &[c],
-            &config,
-        )
-        .unwrap_err();
+        let c = (tight, ms(120));
+        let err =
+            evaluate_one(&store, &spec(100, 150, 550).with_constraints(&[c]), &config).unwrap_err();
         assert!(matches!(
             err,
             AdmissionError::CoalescingWindowTooWide { .. }
@@ -612,7 +691,7 @@ mod tests {
         let store = ObjectStore::new();
         // Violates gates 1 and 2; admitted anyway.
         let s = spec(200, 150, 155);
-        let out = evaluate(&store, &[], ObjectId::new(0), &s, &[], &config).unwrap();
+        let out = evaluate_one(&store, &s, &config).unwrap();
         assert!(out.schedule.period(ObjectId::new(0)).is_some());
     }
 
@@ -621,13 +700,10 @@ mod tests {
         let mut store = ObjectStore::new();
         let a = admit_one(&mut store, &spec(100, 150, 550), &ProtocolConfig::default()).unwrap();
         let b_id = ObjectId::new(1);
-        let c = InterObjectConstraint::new(b_id, a, ms(200));
-        let out = evaluate(
+        let c = (a, ms(200));
+        let out = evaluate_one(
             &store,
-            &[],
-            b_id,
-            &spec(100, 150, 550),
-            &[c],
+            &spec(100, 150, 550).with_constraints(&[c]),
             &ProtocolConfig::default(),
         )
         .unwrap();
@@ -688,5 +764,240 @@ mod tests {
             n_rta >= n_ll,
             "RTA ({n_rta}) must admit at least LL ({n_ll})"
         );
+    }
+
+    /// The per-spec admission the batch path must reproduce: each
+    /// newcomer judged alone against everything admitted before it,
+    /// rebuilding the whole object set, with a linear constraint scan per
+    /// object. A test-only oracle.
+    mod reference {
+        use super::*;
+
+        fn effective_window(
+            id: ObjectId,
+            own_window: TimeDelta,
+            constraints: &[InterObjectConstraint],
+        ) -> TimeDelta {
+            constraints
+                .iter()
+                .filter(|c| c.involves(id))
+                .map(InterObjectConstraint::bound)
+                .fold(own_window, TimeDelta::min)
+        }
+
+        fn evaluate(
+            store: &ObjectStore,
+            constraints: &[InterObjectConstraint],
+            new_id: ObjectId,
+            new_spec: &ObjectSpec,
+            new_constraints: &[InterObjectConstraint],
+            config: &ProtocolConfig,
+        ) -> Result<UpdateSchedule, AdmissionError> {
+            if config.admission_enabled {
+                check_primary_bound(new_spec)?;
+                check_window(new_spec, config)?;
+                check_inter_object(new_id, new_spec, new_constraints, |partner| {
+                    store.get(partner).map(|e| e.spec())
+                })?;
+            }
+            let mut all_constraints: Vec<InterObjectConstraint> = constraints.to_vec();
+            all_constraints.extend_from_slice(new_constraints);
+            let mut objects: Vec<(ObjectId, TimeDelta, TimeDelta)> = store
+                .iter()
+                .map(|(id, e)| {
+                    (
+                        id,
+                        effective_window(id, e.spec().window(), &all_constraints),
+                        config.send_cost(e.spec().size_bytes()),
+                    )
+                })
+                .collect();
+            objects.push((
+                new_id,
+                effective_window(new_id, new_spec.window(), &all_constraints),
+                config.send_cost(new_spec.size_bytes()),
+            ));
+            let normal_config = ProtocolConfig {
+                scheduling_mode: SchedulingMode::Normal,
+                ..config.clone()
+            };
+            let test_schedule = build_schedule(&objects, &normal_config);
+            let utilization: f64 = objects
+                .iter()
+                .map(|&(id, _, cost)| {
+                    let period = test_schedule.period(id).expect("scheduled above");
+                    cost.as_nanos() as f64 / period.as_nanos() as f64
+                })
+                .sum();
+            if config.admission_enabled {
+                check_coalescing_window(&objects, &test_schedule, config)?;
+                check_schedulability(&objects, &test_schedule, utilization, config)?;
+            }
+            Ok(build_schedule(&objects, config))
+        }
+
+        /// A primary's admission state, registering one spec at a time.
+        pub struct SequentialPrimary {
+            pub store: ObjectStore,
+            pub constraints: Vec<InterObjectConstraint>,
+            pub schedule: UpdateSchedule,
+            pub config: ProtocolConfig,
+        }
+
+        impl SequentialPrimary {
+            pub fn new(config: ProtocolConfig) -> Self {
+                SequentialPrimary {
+                    store: ObjectStore::new(),
+                    constraints: Vec::new(),
+                    schedule: UpdateSchedule::new(),
+                    config,
+                }
+            }
+
+            /// Registers `specs` in order until one is rejected: the
+            /// admitted ids, the rejection, and whether an object
+            /// registered before the call changed send period.
+            pub fn register_each(
+                &mut self,
+                specs: &[ObjectSpec],
+            ) -> (Vec<ObjectId>, Option<AdmissionError>, bool) {
+                let before: Vec<(ObjectId, Option<TimeDelta>)> = self
+                    .store
+                    .ids()
+                    .map(|id| (id, self.schedule.period(id)))
+                    .collect();
+                let mut ids = Vec::new();
+                let mut rejected = None;
+                for spec in specs {
+                    let new_id = self.store.peek_next_id();
+                    let new_constraints: Vec<InterObjectConstraint> = spec
+                        .constraints()
+                        .iter()
+                        .map(|&(partner, bound)| InterObjectConstraint::new(new_id, partner, bound))
+                        .collect();
+                    match evaluate(
+                        &self.store,
+                        &self.constraints,
+                        new_id,
+                        spec,
+                        &new_constraints,
+                        &self.config,
+                    ) {
+                        Ok(schedule) => {
+                            ids.push(self.store.register(spec.clone(), Time::ZERO));
+                            self.constraints.extend(new_constraints);
+                            self.schedule = schedule;
+                        }
+                        Err(e) => {
+                            rejected = Some(e);
+                            break;
+                        }
+                    }
+                }
+                let retimed = before
+                    .iter()
+                    .any(|&(id, period)| self.schedule.period(id) != period);
+                (ids, rejected, retimed)
+            }
+
+            pub fn deregister(&mut self, id: ObjectId) {
+                if self.store.deregister(id).is_some() {
+                    self.constraints.retain(|c| !c.involves(id));
+                }
+            }
+
+            /// `(id, send period)` of every registered object.
+            pub fn registry(&self) -> Vec<(ObjectId, TimeDelta)> {
+                self.store
+                    .ids()
+                    .filter_map(|id| self.schedule.period(id).map(|p| (id, p)))
+                    .collect()
+            }
+        }
+    }
+
+    fn random_config(g: &mut Gen) -> ProtocolConfig {
+        let tests = [
+            SchedulabilityTest::LiuLayland,
+            SchedulabilityTest::Hyperbolic,
+            SchedulabilityTest::ResponseTime,
+            SchedulabilityTest::EdfUtilization,
+        ];
+        ProtocolConfig {
+            schedulability_test: tests[g.usize_in(0, tests.len())],
+            scheduling_mode: if g.chance(0.5) {
+                SchedulingMode::Normal
+            } else {
+                SchedulingMode::Compressed
+            },
+            admission_enabled: g.chance(0.8),
+            coalesce_window: if g.chance(0.5) {
+                TimeDelta::ZERO
+            } else {
+                ms(g.u64_in(1, 30))
+            },
+            slack_factor: g.u64_in(1, 4),
+            send_cost_base: TimeDelta::from_micros(g.u64_in(100, 8_000)),
+            ..ProtocolConfig::default()
+        }
+    }
+
+    /// A spec that fails gates 1 and 2 now and then, constrained against
+    /// ids up to `next_id` (stored objects, earlier batch members, and
+    /// the odd deregistered or unknown id).
+    fn random_spec(g: &mut Gen, next_id: u32) -> ObjectSpec {
+        let period = g.u64_in(2, 200);
+        let primary_bound = period + g.u64_in(0, 60) - g.u64_in(0, 2).min(period - 1);
+        let mut builder = ObjectSpec::builder("p")
+            .update_period(ms(period))
+            .exec_time(TimeDelta::from_micros(10))
+            .primary_bound(ms(primary_bound))
+            .backup_bound(ms(primary_bound + g.u64_in(5, 400)))
+            .size_bytes(g.usize_in(1, 2_048));
+        for _ in 0..g.usize_in(0, 3) {
+            let partner = if g.chance(0.05) {
+                next_id + g.u64_in(0, 3) as u32
+            } else if next_id > 0 && g.chance(0.5) {
+                g.u64_in(0, u64::from(next_id)) as u32
+            } else {
+                continue;
+            };
+            builder = builder.constraint(ObjectId::new(partner), ms(g.u64_in(5, 400)));
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn batch_admission_matches_the_sequential_loop() {
+        run_cases("batch_admission_matches_the_sequential_loop", 300, |g| {
+            let config = random_config(g);
+            let mut primary = Primary::new(NodeId::new(0), config.clone());
+            let mut reference = reference::SequentialPrimary::new(config);
+            for _ in 0..3 {
+                if g.chance(0.3) {
+                    let victim = primary.store().ids().nth(g.usize_in(0, 4));
+                    if let Some(victim) = victim {
+                        primary.deregister(victim);
+                        reference.deregister(victim);
+                    }
+                }
+                let first = primary.store().peek_next_id().index();
+                let batch: Vec<ObjectSpec> = (0..g.usize_in(0, 16))
+                    .map(|k| random_spec(g, first + k as u32))
+                    .collect();
+                let got = primary.register_many(&batch, Time::ZERO);
+                let (ids, rejected, retimed) = reference.register_each(&batch);
+                assert_eq!(got.ids, ids);
+                assert_eq!(got.rejected, rejected);
+                assert_eq!(got.retimed, retimed);
+                let registry: Vec<(ObjectId, TimeDelta)> = primary
+                    .registry()
+                    .into_iter()
+                    .map(|(id, _, period)| (id, period))
+                    .collect();
+                assert_eq!(registry, reference.registry());
+                assert_eq!(primary.constraints(), reference.constraints.as_slice());
+            }
+        });
     }
 }

@@ -71,5 +71,5 @@ pub use harness::{ClusterConfig, SimCluster};
 pub use integrity::{IntegrityEvent, IntegritySource};
 pub use metrics::{ClusterMetrics, ObjectReport};
 pub use monitor::{MonitorEvent, TemporalMonitor, TimingViolation};
-pub use primary::{Primary, PrimaryRead};
+pub use primary::{Primary, PrimaryRead, Registration};
 pub use wire::WireMessage;

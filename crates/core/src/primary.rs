@@ -91,6 +91,19 @@ pub struct HeartbeatRound {
     pub died: Vec<NodeId>,
 }
 
+/// What one [`Primary::register_many`] call did.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Registration {
+    /// Ids of the admitted specs, in batch order.
+    pub ids: Vec<ObjectId>,
+    /// Why the first spec not admitted was rejected; `None` when the
+    /// whole batch was admitted.
+    pub rejected: Option<AdmissionError>,
+    /// Whether an object registered before the batch now runs at another
+    /// send period, so drivers must re-arm its timers.
+    pub retimed: bool,
+}
+
 /// The primary server.
 ///
 /// Drivers route client traffic through `RtpbClient`; the state machine
@@ -402,44 +415,64 @@ impl Primary {
         &self.constraints
     }
 
-    /// Registers an object (§4.2). Inter-object constraints against
+    /// Registers an object (§4.2): a one-spec
+    /// [`Primary::register_many`]. Inter-object constraints against
     /// already-registered objects ride on the spec itself — attach them
     /// with [`ObjectSpec::with_constraints`] or
     /// [`ObjectSpecBuilder::constraint`](rtpb_types::ObjectSpecBuilder::constraint).
-    ///
-    /// On success the update schedule is recomputed (a newcomer can
-    /// tighten existing periods through constraints, and compressed mode
-    /// redistributes capacity).
     ///
     /// # Errors
     ///
     /// Returns the failing admission gate; the object is not registered.
     pub fn register(&mut self, spec: ObjectSpec, now: Time) -> Result<ObjectId, AdmissionError> {
+        let registration = self.register_many(std::slice::from_ref(&spec), now);
+        match registration.rejected {
+            Some(e) => Err(e),
+            None => Ok(registration.ids[0]),
+        }
+    }
+
+    /// Registers a batch of objects (§4.2), with exactly the outcome of
+    /// registering them one at a time and stopping at the first
+    /// rejection: the specs before it are admitted, and it and everything
+    /// after it are not. Each spec may constrain itself against
+    /// registered objects or earlier members of the batch.
+    ///
+    /// The whole batch costs one admission evaluation and one schedule
+    /// build, O(n + c) for n objects and c constraints, plus O(log b)
+    /// more evaluations to locate a rejection within b specs (see
+    /// [`admission::evaluate`]). On success the update schedule is
+    /// replaced: a newcomer can tighten existing periods through
+    /// constraints, and compressed mode redistributes capacity.
+    pub fn register_many(&mut self, specs: &[ObjectSpec], now: Time) -> Registration {
+        if specs.is_empty() {
+            return Registration::default();
+        }
         if self.monitor.is_degraded() {
             // Admission promises temporal-consistency bounds; with the
             // clock evidence contradicting the envelope those bounds
             // cannot be vouched for right now.
-            return Err(AdmissionError::TemporallyDegraded);
+            return Registration {
+                rejected: Some(AdmissionError::TemporallyDegraded),
+                ..Registration::default()
+            };
         }
-        let new_id = self.store.peek_next_id();
-        let new_constraints: Vec<InterObjectConstraint> = spec
-            .constraints()
+        let outcome = admission::evaluate(&self.store, &self.constraints, specs, &self.config);
+        let mut retimed = false;
+        if let Some(schedule) = outcome.schedule {
+            retimed = self.schedule.retimes(&schedule, self.store.peek_next_id());
+            self.schedule = schedule;
+        }
+        let ids = specs[..outcome.admitted]
             .iter()
-            .map(|&(partner, bound)| InterObjectConstraint::new(new_id, partner, bound))
+            .map(|spec| self.store.register(spec.clone(), now))
             .collect();
-        let outcome = admission::evaluate(
-            &self.store,
-            &self.constraints,
-            new_id,
-            &spec,
-            &new_constraints,
-            &self.config,
-        )?;
-        let id = self.store.register(spec, now);
-        debug_assert_eq!(id, new_id);
-        self.constraints.extend(new_constraints);
-        self.schedule = outcome.schedule;
-        Ok(id)
+        self.constraints.extend(outcome.constraints);
+        Registration {
+            ids,
+            rejected: outcome.rejected,
+            retimed,
+        }
     }
 
     /// Deregisters an object and drops its constraints.
@@ -898,10 +931,11 @@ impl Primary {
 
     /// Background scrubber (DESIGN.md §15): when a scrub is due, digest
     /// the next object range and piggyback the digest on every heartbeat
-    /// until the next tick replaces it. Before digesting, audit the range
-    /// is *worth* vouching for — quarantining any entry whose stored
-    /// checksum fails, so the primary never advertises a digest over
-    /// bytes it cannot itself verify.
+    /// until the next tick replaces it. Before digesting, audit that same
+    /// range is *worth* vouching for — quarantining any entry whose
+    /// stored checksum fails, so the primary never advertises a digest
+    /// over bytes it cannot itself verify. Each entry is thus audited
+    /// once per `scrub_ranges` ticks.
     fn tick_scrub(&mut self, now: Time) {
         let interval = self.config.scrub_interval;
         if interval.is_zero() {
@@ -910,15 +944,15 @@ impl Primary {
         if now < self.next_scrub_at {
             return;
         }
-        for id in self.store.audit() {
+        let ranges = self.config.scrub_ranges.max(1);
+        let range = self.scrub_cursor % ranges;
+        for id in self.store.audit_range(range, ranges) {
             self.integrity_events.push(IntegrityEvent::Violation {
                 source: IntegritySource::StoreEntry,
                 object: Some(id),
                 seq: None,
             });
         }
-        let ranges = self.config.scrub_ranges.max(1);
-        let range = self.scrub_cursor % ranges;
         self.scrub_digest = Some(ScrubDigest {
             range,
             ranges,
@@ -2057,5 +2091,43 @@ mod tests {
             assert_eq!(fingerprint(durable.store()), want, "durable != primary");
             assert_eq!(fingerprint(cold.store()), want, "cold != primary");
         });
+    }
+
+    #[test]
+    fn scrubber_reports_primary_rot_within_one_cycle_of_ranges() {
+        let config = ProtocolConfig {
+            scrub_interval: ms(100),
+            scrub_ranges: 4,
+            ..ProtocolConfig::default()
+        };
+        let mut p = Primary::new(NodeId::new(0), config);
+        p.add_backup(NodeId::new(1), Time::ZERO);
+        let ids: Vec<ObjectId> = (0..8)
+            .map(|_| p.register(spec(), Time::ZERO).unwrap())
+            .collect();
+        for &id in &ids {
+            p.apply_write(id, vec![1, 2, 3], t(1)).unwrap();
+        }
+        // Object 6 lives in range 2 of 4.
+        let victim = ids[6];
+        assert!(p.corrupt_stored_payload(victim, 0, 0x10));
+        let mut reported_on = Vec::new();
+        for tick in 0..8u64 {
+            p.tick_heartbeat(t(100 * (tick + 1)));
+            for event in p.drain_integrity_events() {
+                if let IntegrityEvent::Violation {
+                    source: IntegritySource::StoreEntry,
+                    object: Some(object),
+                    ..
+                } = event
+                {
+                    reported_on.push((tick, object));
+                }
+            }
+        }
+        // Reported by the tick that digests its range, within the first
+        // cycle of four ticks, and only once: the entry is quarantined.
+        assert_eq!(reported_on, vec![(2, victim)]);
+        assert!(p.store().get(victim).unwrap().value().is_none());
     }
 }

@@ -269,8 +269,19 @@ impl ObjectStore {
     /// repair passes the `(epoch, version)` install gate — a poisoned tag
     /// must never outrank its own repair. Returns the quarantined ids.
     pub fn audit(&mut self) -> Vec<ObjectId> {
+        self.audit_range(0, 1)
+    }
+
+    /// [`ObjectStore::audit`] restricted to range `range` of `ranges`:
+    /// the objects whose index is `range` modulo `ranges`, the same
+    /// partition [`ObjectStore::range_digest`] covers.
+    pub fn audit_range(&mut self, range: u32, ranges: u32) -> Vec<ObjectId> {
+        let ranges = ranges.max(1);
         let mut quarantined = Vec::new();
         for (&id, entry) in &mut self.entries {
+            if id.index() % ranges != range {
+                continue;
+            }
             if !entry.verify() {
                 entry.value = None;
                 entry.write_epoch = Epoch::INITIAL;

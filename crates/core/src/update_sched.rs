@@ -50,6 +50,19 @@ impl UpdateSchedule {
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, TimeDelta)> + '_ {
         self.periods.iter().map(|(&id, &p)| (id, p))
     }
+
+    /// Whether `next` runs any object below `first_new` at a period other
+    /// than the one it has here: the objects registered before
+    /// `first_new` whose send timers a schedule change must re-arm.
+    /// Linear in the two schedules.
+    #[must_use]
+    pub fn retimes(&self, next: &UpdateSchedule, first_new: ObjectId) -> bool {
+        let mut old = self.periods.iter().peekable();
+        next.periods.range(..first_new).any(|(id, period)| {
+            while old.next_if(|&(o, _)| o < id).is_some() {}
+            old.next_if(|&(o, _)| o == id).map(|(_, p)| p) != Some(period)
+        })
+    }
 }
 
 /// The send period Theorem 5 (plus loss slack) assigns to a window:

@@ -224,9 +224,12 @@ impl RtCluster {
         // Build and populate the primary (one backup peer: node#1).
         let mut primary = Primary::new(NodeId::new(0), config.protocol.clone());
         primary.add_backup(NodeId::new(1), shared.now());
+        let registration = primary.register_many(&config.objects, shared.now());
+        if let Some(e) = registration.rejected {
+            return Err(e.into());
+        }
         let mut ids = Vec::new();
-        for spec in &config.objects {
-            let id = primary.register(spec.clone(), shared.now())?;
+        for (&id, spec) in registration.ids.iter().zip(&config.objects) {
             shared.metrics.lock().unwrap().track_object(
                 id,
                 spec.window(),
