@@ -153,6 +153,12 @@ pub struct ModeOutcome {
     pub recovery_ms: f64,
     /// Whether the rejoin completed within the run.
     pub completed: bool,
+    /// Whether the rejoiner's store matched the primary's when the
+    /// restart's fault record closed: every object the primary holds is
+    /// installed there, no more than its consistency window `δ_i` older
+    /// than the primary's image. A catch-up that skips base images
+    /// closes the record with this `false`.
+    pub complete: bool,
 }
 
 /// Both restart flavors of one outage tier.
@@ -188,23 +194,50 @@ pub struct RecoveryReport {
     pub tiers: Vec<TierOutcome>,
 }
 
+/// How finely a run is stepped after the restart, so the rejoiner's
+/// store is judged within this much of its fault record closing.
+const STEP: TimeDelta = TimeDelta::from_millis(1);
+
+/// Whether the first live backup (the rejoiner, host 0) holds every
+/// object the primary holds, written no more than `window` before the
+/// primary's image.
+fn matches_primary(cluster: &SimCluster, window: TimeDelta) -> bool {
+    let (Some(primary), Some(rejoiner)) = (cluster.primary(), cluster.backup()) else {
+        return false;
+    };
+    primary.store().iter().all(|(id, entry)| {
+        let Some(image) = entry.value() else {
+            return true;
+        };
+        rejoiner
+            .store()
+            .get(id)
+            .and_then(|e| e.value())
+            .is_some_and(|held| image.timestamp().saturating_since(held.timestamp()) <= window)
+    })
+}
+
 fn run_mode(config: &RecoveryConfig, outage_ms: u64, durable: bool) -> ModeOutcome {
     let outage = TimeDelta::from_millis(outage_ms);
     let mut cluster = config.cluster(outage, durable);
     let specs = (0..config.objects).map(|_| config.spec()).collect();
     cluster.register_many(specs).expect("admission disabled");
-    cluster.run_for(config.crash_at + outage + config.settle);
+    cluster.run_for(config.crash_at + outage);
+    // Fault records land in injection order: [0] the crash, [1] the
+    // restart; the restart's recovery time spans join → catch-up landed.
+    let closed = |c: &SimCluster| c.fault_report().get(1).and_then(|r| r.recovery_time());
+    let mut left = config.settle;
+    while !left.is_zero() && closed(&cluster).is_none() {
+        let step = left.min(STEP);
+        cluster.run_for(step);
+        left -= step;
+    }
+    let recovery = closed(&cluster);
 
     let (path, gap, records, reply_bytes) = cluster.catch_up_plans().first().map_or_else(
         || ("none".to_string(), 0, 0, 0),
         |p| (p.path.name().to_string(), p.gap, p.records, p.bytes),
     );
-    // Fault records land in injection order: [0] the crash, [1] the
-    // restart; the restart's recovery time spans join → catch-up landed.
-    let recovery = cluster
-        .fault_report()
-        .get(1)
-        .and_then(|r| r.recovery_time());
     ModeOutcome {
         path,
         gap,
@@ -212,6 +245,7 @@ fn run_mode(config: &RecoveryConfig, outage_ms: u64, durable: bool) -> ModeOutco
         reply_bytes,
         recovery_ms: recovery.map_or(0.0, |t| t.as_millis_f64()),
         completed: recovery.is_some(),
+        complete: recovery.is_some() && matches_primary(&cluster, config.backup_bound),
     }
 }
 
@@ -248,7 +282,8 @@ impl ModeOutcome {
             .uint_field("records", self.records)
             .uint_field("reply_bytes", self.reply_bytes)
             .float_field("recovery_ms", round2(self.recovery_ms))
-            .bool_field("completed", self.completed);
+            .bool_field("completed", self.completed)
+            .bool_field("complete", self.complete);
         o.finish()
     }
 }
@@ -335,7 +370,8 @@ impl RecoveryReport {
             );
         }
         table.note(format!(
-            "{} objects, write period {}, log retention {}, durable paths: {}",
+            "{} objects, write period {}, log retention {}, durable paths: {}, \
+             every rejoiner complete: {}",
             self.config.objects,
             self.config.write_period,
             self.config.log_retention,
@@ -344,18 +380,22 @@ impl RecoveryReport {
                 .map(|t| t.durable.path.as_str())
                 .collect::<Vec<_>>()
                 .join(", "),
+            self.tiers
+                .iter()
+                .all(|t| t.durable.complete && t.cold.complete),
         ));
         table
     }
 }
 
-const MODE_FIELDS: [&str; 6] = [
+const MODE_FIELDS: [&str; 7] = [
     "path",
     "gap",
     "records",
     "reply_bytes",
     "recovery_ms",
     "completed",
+    "complete",
 ];
 
 fn check_mode_object(text: &str, key: &str, at: usize) -> Result<usize, String> {
@@ -375,7 +415,7 @@ fn check_mode_object(text: &str, key: &str, at: usize) -> Result<usize, String> 
             .ok_or_else(|| format!("\"{key}\" object missing field \"{field}\""))?;
         let ok = match field {
             "path" => matches!(v, JsonValue::Str(_)),
-            "completed" => v.as_bool().is_some(),
+            "completed" | "complete" => v.as_bool().is_some(),
             "recovery_ms" => matches!(v, JsonValue::UInt(_) | JsonValue::Float(_)),
             _ => matches!(v, JsonValue::UInt(_)),
         };
@@ -383,12 +423,19 @@ fn check_mode_object(text: &str, key: &str, at: usize) -> Result<usize, String> 
             return Err(format!("\"{key}\".\"{field}\" has the wrong type"));
         }
     }
+    if flat.get("complete").and_then(JsonValue::as_bool) != Some(true) {
+        return Err(format!(
+            "\"{key}\" rejoiner store incomplete when its fault record closed"
+        ));
+    }
     Ok(end)
 }
 
 /// Validates a `BENCH_recovery.json` document against the v1 schema:
 /// the header fields, at least one tier, and both per-mode leaf objects
-/// carrying all six metrics with the right types.
+/// carrying all seven fields with the right types — and, because a
+/// recovery number means nothing for a replica that never caught up,
+/// `complete: true` in every mode.
 ///
 /// # Errors
 ///
@@ -440,6 +487,7 @@ mod tests {
             reply_bytes: bytes,
             recovery_ms: 12.5,
             completed: true,
+            complete: true,
         };
         RecoveryReport {
             config: RecoveryConfig {
@@ -477,6 +525,9 @@ mod tests {
         assert!(
             validate_report_json(&text.replace("\"completed\":true", "\"completed\":3")).is_err()
         );
+        let incomplete = text.replacen("\"complete\":true", "\"complete\":false", 1);
+        let err = validate_report_json(&incomplete).unwrap_err();
+        assert!(err.contains("incomplete"), "{err}");
     }
 
     #[test]
@@ -502,6 +553,7 @@ mod tests {
         assert_eq!(tier.durable.path, "log_suffix");
         assert_eq!(tier.cold.path, "full_transfer");
         assert!(tier.durable.completed && tier.cold.completed);
+        assert!(tier.durable.complete && tier.cold.complete, "{tier:?}");
         assert!(
             tier.bytes_ratio() < 0.5,
             "suffix must undercut the full transfer, ratio {}",

@@ -910,8 +910,11 @@ impl Backup {
         // Advancing the high-water mark past unseen records of
         // *other* objects is sound: RTPB re-sends every object's
         // freshest image each send period, so any skipped record
-        // is superseded within one period (DESIGN.md §11).
-        if seq > 0 {
+        // is superseded within one period (DESIGN.md §11). Not during
+        // a join, though: the position a retry advertises must be one
+        // this node's store covers in full, or the primary answers with
+        // a suffix that skips the base images the store still lacks.
+        if seq > 0 && self.join.is_none() {
             self.advance_position(LogPosition::new(frame_epoch, seq));
         }
         let installed =
@@ -1569,6 +1572,43 @@ mod tests {
             }
             other => panic!("expected join retry, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn live_updates_do_not_advance_the_position_a_join_retry_advertises() {
+        // A cold rejoiner holds nothing. Live updates that land while its
+        // join is in flight install their objects but must not move the
+        // position: a retry advertising seq 7 would earn a log suffix
+        // from 7 on, skipping every base image written before it.
+        let mut b = Backup::new(NodeId::new(1), ProtocolConfig::default());
+        let (a, c) = (ObjectId::new(0), ObjectId::new(1));
+        b.sync_registration(a, spec(), ms(195), Time::ZERO);
+        b.sync_registration(c, spec(), ms(195), Time::ZERO);
+        match b.begin_join(t(10)) {
+            WireMessage::JoinRequest { position, .. } => assert_eq!(position, None),
+            other => panic!("expected join request, got {other:?}"),
+        }
+        let out = b.handle_message(&update(a, 7, 12), t(14));
+        assert_eq!(out.applied.len(), 1, "live updates still install");
+        b.handle_message(&update(c, 9, 15), t(16));
+        assert_eq!(b.log_position(), None);
+        match b.tick_join(t(10_000)) {
+            Some(WireMessage::JoinRequest { position, .. }) => assert_eq!(position, None),
+            other => panic!("expected join retry, got {other:?}"),
+        }
+        // The catch-up frame stamps the head, and live updates move the
+        // position again once the join is over.
+        b.handle_message(
+            &WireMessage::StateTransfer {
+                epoch: Epoch::INITIAL,
+                head: 9,
+                entries: vec![],
+            },
+            t(10_010),
+        );
+        assert_eq!(b.log_position(), Some(LogPosition::new(Epoch::INITIAL, 9)));
+        b.handle_message(&update(a, 11, 10_011), t(10_012));
+        assert_eq!(b.log_position(), Some(LogPosition::new(Epoch::INITIAL, 11)));
     }
 
     #[test]

@@ -24,9 +24,7 @@ use crate::monitor::MonitorEvent;
 use crate::name_service::NameService;
 use crate::primary::{CatchUpDecision, Primary, Registration};
 use crate::wire::{WireFrame, WireMessage};
-use rtpb_net::{
-    FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink, Message, ProtocolGraph, UdpLike,
-};
+use rtpb_net::{Bytes, FaultKind, FaultWindow, LinkConfig, LinkOutcome, LossyLink};
 use rtpb_obs::{Counter, EventBus, EventKind, Histogram, MetricsRegistry, Role};
 use rtpb_sim::{ClockModel, Context, Simulation, World};
 use rtpb_types::{
@@ -224,17 +222,17 @@ enum Event {
     DeposedTick,
     DeliverToBackup {
         host: usize,
-        wire: Message,
+        wire: Bytes,
         /// Whether the frame originated at the deposed primary (replies
         /// must route back to it, not to the serving primary).
         from_deposed: bool,
     },
     DeliverToPrimary {
         host: usize,
-        wire: Message,
+        wire: Bytes,
     },
     DeliverToDeposed {
-        wire: Message,
+        wire: Bytes,
     },
     Inject {
         fault: FaultEvent,
@@ -352,10 +350,6 @@ struct ClusterWorld {
     /// See [`DeposedPrimary`]; `Some` only during a split-brain window.
     deposed: Option<DeposedPrimary>,
     hosts: Vec<BackupHost>,
-    p2b_tx: ProtocolGraph,
-    p2b_rx: ProtocolGraph,
-    b2p_tx: ProtocolGraph,
-    b2p_rx: ProtocolGraph,
     cpu: CpuQueue,
     metrics: ClusterMetrics,
     instruments: Instruments,
@@ -432,34 +426,34 @@ struct ClusterWorld {
     scrub_repair: BTreeSet<usize>,
 }
 
-/// Applies a link-reported bit flip to a copy of the frame's bytes. The
-/// link is payload-oblivious — it picks a bit position within the wire
-/// image ([`LinkOutcome::Corrupted`]) and the harness, which owns the
-/// bytes, lands the flip in the application payload (the header stack is
-/// framing bookkeeping, not simulated octets). Receivers then see a
-/// frame whose CRC trailer no longer matches.
-fn corrupt_wire(wire: &Message, bit: u64) -> Message {
-    let mut stripped = wire.clone();
-    let mut headers = Vec::new();
-    while let Some(h) = stripped.pop_header() {
-        headers.push(h);
-    }
-    let mut payload = stripped.into_payload().to_vec();
-    if payload.is_empty() {
-        return wire.clone();
-    }
-    let at = (bit / 8) as usize % payload.len();
-    payload[at] ^= 1 << (bit % 8);
-    let mut out = Message::from_payload(payload);
-    for h in headers.iter().rev() {
-        out.push_header(h);
-    }
-    out
+/// Which link family a frame crosses and which delivery event it becomes.
+#[derive(Debug, Clone, Copy)]
+enum Dest {
+    /// Primary (or the deposed primary) to a backup host, over its
+    /// forward data (`data`) or control link.
+    Backup { data: bool, from_deposed: bool },
+    /// Backup host to the serving primary, over its reverse data
+    /// (`data`) or control link.
+    Primary { data: bool },
+    /// Backup host to the deposed primary, over its reverse control link.
+    Deposed,
+}
+
+/// Applies a link-reported bit flip to a copy of the frame. The link is
+/// payload-oblivious: it picks a bit position within the wire image
+/// ([`LinkOutcome::Corrupted`]), and the harness, which owns the bytes,
+/// flips it. The wire image is the CRC32C-sealed frame itself, so the
+/// receiver's trailer check rejects every such flip. The link draws
+/// `bit` below `8 * wire.len()`.
+fn corrupt_wire(wire: &Bytes, bit: u64) -> Bytes {
+    let mut bytes = wire.to_vec();
+    bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+    bytes.into()
 }
 
 /// The bytes to deliver for one arrival of `outcome`: the frame as sent,
 /// or a copy with the in-transit bit flip applied.
-fn delivered_wire(wire: &Message, outcome: LinkOutcome) -> Message {
+fn delivered_wire(wire: &Bytes, outcome: LinkOutcome) -> Bytes {
     match outcome.corrupted_bit() {
         Some(bit) => corrupt_wire(wire, bit),
         None => wire.clone(),
@@ -645,14 +639,50 @@ impl ClusterWorld {
         }
     }
 
-    /// Encodes `msg` into a pooled send buffer and wraps the bytes for
-    /// the wire. The lease returns its buffer to the pool on drop, so
-    /// steady-state framing reuses one recycled buffer plus the single
-    /// copy into the shared wire payload — no per-frame encode vector.
-    fn pooled_frame(&self, msg: &WireMessage) -> Message {
+    /// Encodes `msg` into a pooled send buffer and copies the sealed
+    /// frame (payload plus CRC32C trailer) into the shared wire image.
+    /// The lease returns its buffer to the pool on drop, so steady-state
+    /// framing reuses one recycled buffer plus the single copy that every
+    /// receiver and duplicate delivery then shares.
+    fn pooled_frame(&self, msg: &WireMessage) -> Bytes {
         let mut buf = self.send_pool.lease();
         msg.encode_into(&mut buf);
-        Message::from_payload(buf.as_slice())
+        Bytes::copy_from_slice(buf.as_slice())
+    }
+
+    /// Puts one encoded frame on the link `to` selects at backup host
+    /// `host` and schedules one delivery per arrival the link reports.
+    /// Every frame the harness sends crosses a link here. Returns the
+    /// link's verdict, or `None` when there is no such host.
+    fn send_frame(
+        &mut self,
+        ctx: &mut Context<'_, Event>,
+        host: usize,
+        to: Dest,
+        frame: &Bytes,
+    ) -> Option<LinkOutcome> {
+        let h = self.hosts.get_mut(host)?;
+        let link = match to {
+            Dest::Backup { data: true, .. } => &mut h.data_link,
+            Dest::Backup { data: false, .. } => &mut h.ctrl_link,
+            Dest::Primary { data: true } => &mut h.rev_data_link,
+            Dest::Primary { data: false } | Dest::Deposed => &mut h.rev_ctrl_link,
+        };
+        let outcome = link.transmit(ctx.now(), frame.len());
+        for at in outcome.arrivals() {
+            let wire = delivered_wire(frame, outcome);
+            let event = match to {
+                Dest::Backup { from_deposed, .. } => Event::DeliverToBackup {
+                    host,
+                    wire,
+                    from_deposed,
+                },
+                Dest::Primary { .. } => Event::DeliverToPrimary { host, wire },
+                Dest::Deposed => Event::DeliverToDeposed { wire },
+            };
+            ctx.schedule_at(at, event);
+        }
+        Some(outcome)
     }
 
     /// Broadcasts a message to every backup the primary currently tracks.
@@ -678,32 +708,25 @@ impl ClusterWorld {
         };
         let is_update = !updates.is_empty() || batch_size.is_some();
         let metrics_host = self.metrics_host();
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.p2b_tx.send(framed) else {
-            ctx.trace("p2b send rejected by protocol stack");
-            return;
+        let frame = self.pooled_frame(msg);
+        let dest = Dest::Backup {
+            data: is_update || !self.config.control_loss_exempt,
+            from_deposed: false,
         };
-        let exempt = self.config.control_loss_exempt;
-        for (i, host) in self.hosts.iter_mut().enumerate() {
-            if host.backup.is_none() || !tracked.contains(&host.node) {
+        for i in 0..self.hosts.len() {
+            let to = self.hosts[i].node;
+            if self.hosts[i].backup.is_none() || !tracked.contains(&to) {
                 continue;
             }
-            let link = if is_update || !exempt {
-                &mut host.data_link
-            } else {
-                &mut host.ctrl_link
-            };
             // One loss/delay decision per frame, batched or not.
-            let outcome = link.transmit(ctx.now(), wire.wire_size());
+            let Some(outcome) = self.send_frame(ctx, i, dest, &frame) else {
+                continue;
+            };
             let lost = outcome.is_lost();
             self.instruments.frames_sent.inc();
             if let Some(size) = batch_size {
                 self.instruments.batch_occupancy.record_nanos(size);
-                ctx.emit(EventKind::BatchSent {
-                    to: host.node,
-                    size,
-                    lost,
-                });
+                ctx.emit(EventKind::BatchSent { to, size, lost });
             }
             for &(object, version) in &updates {
                 self.instruments.updates_sent.inc();
@@ -713,7 +736,7 @@ impl ClusterWorld {
                 ctx.emit(EventKind::UpdateSent {
                     object,
                     version,
-                    to: host.node,
+                    to,
                     lost,
                 });
             }
@@ -721,16 +744,6 @@ impl ClusterWorld {
                 for _ in &updates {
                     self.metrics.record_update_sent(lost);
                 }
-            }
-            for at in outcome.arrivals() {
-                ctx.schedule_at(
-                    at,
-                    Event::DeliverToBackup {
-                        host: i,
-                        wire: delivered_wire(&wire, outcome),
-                        from_deposed: false,
-                    },
-                );
             }
         }
     }
@@ -757,34 +770,18 @@ impl ClusterWorld {
                 | WireMessage::ResyncDiff { .. }
                 | WireMessage::LogSuffix { .. }
         );
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.p2b_tx.send(framed) else {
-            return;
-        };
-        let exempt = self.config.control_loss_exempt;
-        let recovery_lossy = self.config.recovery_frames_lossy;
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        if h.backup.is_none() {
+        let frame = self.pooled_frame(msg);
+        if self.hosts.get(host).is_none_or(|h| h.backup.is_none()) {
             return;
         }
-        let link = if is_update || !exempt || (is_recovery && recovery_lossy) {
-            &mut h.data_link
-        } else {
-            &mut h.ctrl_link
+        let data = is_update
+            || !self.config.control_loss_exempt
+            || (is_recovery && self.config.recovery_frames_lossy);
+        let dest = Dest::Backup {
+            data,
+            from_deposed: false,
         };
-        let outcome = link.transmit(ctx.now(), wire.wire_size());
-        for at in outcome.arrivals() {
-            ctx.schedule_at(
-                at,
-                Event::DeliverToBackup {
-                    host,
-                    wire: delivered_wire(&wire, outcome),
-                    from_deposed: false,
-                },
-            );
-        }
+        self.send_frame(ctx, host, dest, &frame);
     }
 
     /// Sends a message from backup host `host` to the primary.
@@ -797,37 +794,16 @@ impl ClusterWorld {
         if self.primary_cut(ctx.now()) {
             return;
         }
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.b2p_tx.send(framed) else {
-            ctx.trace("b2p send rejected by protocol stack");
-            return;
-        };
+        let frame = self.pooled_frame(msg);
         // Join and resync requests ride the lossy path like the catch-up
         // replies they solicit (see transmit_to_one_backup).
         let is_recovery = matches!(
             msg,
             WireMessage::JoinRequest { .. } | WireMessage::ResyncRequest { .. }
         );
-        let exempt = self.config.control_loss_exempt;
-        let recovery_lossy = self.config.recovery_frames_lossy;
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        let link = if exempt && !(is_recovery && recovery_lossy) {
-            &mut h.rev_ctrl_link
-        } else {
-            &mut h.rev_data_link
-        };
-        let outcome = link.transmit(ctx.now(), wire.wire_size());
-        for at in outcome.arrivals() {
-            ctx.schedule_at(
-                at,
-                Event::DeliverToPrimary {
-                    host,
-                    wire: delivered_wire(&wire, outcome),
-                },
-            );
-        }
+        let data =
+            !self.config.control_loss_exempt || (is_recovery && self.config.recovery_frames_lossy);
+        self.send_frame(ctx, host, Dest::Primary { data }, &frame);
     }
 
     /// Sends a frame from the deposed primary toward backup host `host`.
@@ -844,28 +820,16 @@ impl ClusterWorld {
         if ctx.now() < dep.cut_until {
             return;
         }
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.p2b_tx.send(framed) else {
-            return;
-        };
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        if h.backup.is_none() {
+        let frame = self.pooled_frame(msg);
+        if self.hosts.get(host).is_none_or(|h| h.backup.is_none()) {
             return;
         }
         // Probes are control traffic; they ride the control path.
-        let outcome = h.ctrl_link.transmit(ctx.now(), wire.wire_size());
-        for at in outcome.arrivals() {
-            ctx.schedule_at(
-                at,
-                Event::DeliverToBackup {
-                    host,
-                    wire: delivered_wire(&wire, outcome),
-                    from_deposed: true,
-                },
-            );
-        }
+        let dest = Dest::Backup {
+            data: false,
+            from_deposed: true,
+        };
+        self.send_frame(ctx, host, dest, &frame);
     }
 
     /// Routes a backup's reply back to the deposed primary (the frame it
@@ -882,22 +846,8 @@ impl ClusterWorld {
         if ctx.now() < dep.cut_until {
             return;
         }
-        let framed = self.pooled_frame(msg);
-        let Ok(wire) = self.b2p_tx.send(framed) else {
-            return;
-        };
-        let Some(h) = self.hosts.get_mut(host) else {
-            return;
-        };
-        let outcome = h.rev_ctrl_link.transmit(ctx.now(), wire.wire_size());
-        for at in outcome.arrivals() {
-            ctx.schedule_at(
-                at,
-                Event::DeliverToDeposed {
-                    wire: delivered_wire(&wire, outcome),
-                },
-            );
-        }
+        let frame = self.pooled_frame(msg);
+        self.send_frame(ctx, host, Dest::Deposed, &frame);
     }
 
     fn watchdog_interval(&self, object: ObjectId) -> TimeDelta {
@@ -1159,7 +1109,7 @@ impl ClusterWorld {
         &mut self,
         ctx: &mut Context<'_, Event>,
         host: usize,
-        wire: Message,
+        wire: Bytes,
         from_deposed: bool,
     ) {
         let report_metrics = self.metrics_host() == Some(host);
@@ -1171,19 +1121,11 @@ impl ClusterWorld {
         let Some(backup) = h.backup.as_mut() else {
             return;
         };
-        let up = match self.p2b_rx.receive(wire) {
-            Ok(Some(m)) => m,
-            Ok(None) => return,
-            Err(_) => {
-                self.note_corrupt_frame(ctx, node);
-                return;
-            }
-        };
         // The receive hot path stays on the borrowed decode view: the
         // frame's payload slices point into the delivered wire bytes and
         // flow straight into the backup's store — no owned WireMessage
         // is materialised for updates or batches.
-        let Ok(frame) = WireFrame::parse(up.payload()) else {
+        let Ok(frame) = WireFrame::parse(&wire) else {
             self.note_corrupt_frame(ctx, node);
             return;
         };
@@ -1281,19 +1223,11 @@ impl ClusterWorld {
     /// Delivers a frame to the deposed primary. A ping ack bearing the
     /// successor's higher epoch is what deposes it for good: it demotes
     /// itself and starts resync.
-    fn handle_delivery_to_deposed(&mut self, ctx: &mut Context<'_, Event>, wire: Message) {
+    fn handle_delivery_to_deposed(&mut self, ctx: &mut Context<'_, Event>, wire: Bytes) {
         let Some(d_node) = self.deposed.as_ref().map(|d| d.primary.node()) else {
             return;
         };
-        let up = match self.b2p_rx.receive(wire) {
-            Ok(Some(m)) => m,
-            Ok(None) => return,
-            Err(_) => {
-                self.note_corrupt_frame(ctx, d_node);
-                return;
-            }
-        };
-        let Ok(msg) = WireMessage::decode(up.payload()) else {
+        let Ok(msg) = WireMessage::decode(&wire) else {
             self.note_corrupt_frame(ctx, d_node);
             return;
         };
@@ -1318,20 +1252,12 @@ impl ClusterWorld {
         &mut self,
         ctx: &mut Context<'_, Event>,
         host: usize,
-        wire: Message,
+        wire: Bytes,
     ) {
         let Some(p_node) = self.primary.as_ref().map(Primary::node) else {
             return;
         };
-        let up = match self.b2p_rx.receive(wire) {
-            Ok(Some(m)) => m,
-            Ok(None) => return,
-            Err(_) => {
-                self.note_corrupt_frame(ctx, p_node);
-                return;
-            }
-        };
-        let Ok(msg) = WireMessage::decode(up.payload()) else {
+        let Ok(msg) = WireMessage::decode(&wire) else {
             self.note_corrupt_frame(ctx, p_node);
             return;
         };
@@ -2100,32 +2026,13 @@ impl World for ClusterWorld {
                     }
                     // Route each probe to its peer only.
                     let exempt = self.config.control_loss_exempt;
-                    let framed = self.pooled_frame(&ping);
-                    let Ok(wire) = self.p2b_tx.send(framed) else {
-                        continue;
-                    };
-                    if let Some((i, host)) = self
-                        .hosts
-                        .iter_mut()
-                        .enumerate()
-                        .find(|(_, h)| h.node == dest)
-                    {
-                        let link = if exempt {
-                            &mut host.ctrl_link
-                        } else {
-                            &mut host.data_link
+                    let frame = self.pooled_frame(&ping);
+                    if let Some(i) = self.hosts.iter().position(|h| h.node == dest) {
+                        let dest = Dest::Backup {
+                            data: !exempt,
+                            from_deposed: false,
                         };
-                        let outcome = link.transmit(ctx.now(), wire.wire_size());
-                        for at in outcome.arrivals() {
-                            ctx.schedule_at(
-                                at,
-                                Event::DeliverToBackup {
-                                    host: i,
-                                    wire: delivered_wire(&wire, outcome),
-                                    from_deposed: false,
-                                },
-                            );
-                        }
+                        self.send_frame(ctx, i, dest, &frame);
                     }
                 }
                 for dead in round.died {
@@ -2485,10 +2392,6 @@ impl SimCluster {
             primary: Some(primary),
             deposed: None,
             hosts,
-            p2b_tx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
-            p2b_rx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
-            b2p_tx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
-            b2p_rx: ProtocolGraph::builder().layer(UdpLike::new()).build(),
             cpu: CpuQueue::new(),
             metrics: ClusterMetrics::new(),
             instruments,
@@ -3103,7 +3006,8 @@ impl SimCluster {
             .collect()
     }
 
-    /// Messages that failed protocol-stack validation.
+    /// Frames whose CRC32C trailer or encoding failed to check out on
+    /// receipt.
     #[must_use]
     pub fn corrupt_messages(&self) -> u64 {
         self.sim.world().corrupt_messages
@@ -3682,5 +3586,115 @@ mod tests {
         assert_eq!(ids.len(), N);
         let primary = cluster.primary().unwrap();
         assert!(ids.iter().all(|&id| primary.send_period(id).is_some()));
+    }
+
+    /// A cluster that carries bulk load without queueing: admission off,
+    /// per-send CPU cost negligible and size-independent.
+    fn bulk_load_config(fault_plan: FaultPlan) -> ClusterConfig {
+        let mut config = ClusterConfig {
+            auto_failover: false,
+            fault_plan,
+            ..ClusterConfig::default()
+        };
+        config.protocol.admission_enabled = false;
+        config.protocol.send_cost_base = TimeDelta::from_micros(1);
+        config.protocol.send_cost_per_byte = TimeDelta::ZERO;
+        config
+    }
+
+    fn bulk_spec(period: u64, dp: u64, db: u64, size_bytes: usize) -> ObjectSpec {
+        ObjectSpec::builder("bulk")
+            .update_period(ms(period))
+            .exec_time(TimeDelta::from_micros(1))
+            .primary_bound(ms(dp))
+            .backup_bound(ms(db))
+            .size_bytes(size_bytes)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn cold_rejoin_at_ten_thousand_objects_installs_every_object() {
+        // The full transfer for 10k objects is far over 64 KiB, and live
+        // updates reach the rejoiner while its join is in flight. The
+        // first 1,000 objects are written once before the crash, and
+        // their send period outlasts outage plus settle, so most of them
+        // can reach the rejoiner only in the catch-up frame.
+        const SLOW: usize = 1_000;
+        const N: usize = 10_000;
+        let (crash, outage, settle) = (ms(1_000), ms(100), ms(500));
+        let plan = FaultPlan::new()
+            .at(Time::ZERO + crash, FaultEvent::CrashBackup { host: 0 })
+            .at(
+                Time::ZERO + crash + outage,
+                FaultEvent::RecoverBackup { host: 0 },
+            );
+        let mut cluster = SimCluster::new(bulk_load_config(plan));
+        let mut specs = vec![bulk_spec(10_000, 15_000, 30_000, 64); SLOW];
+        specs.resize(N, bulk_spec(400, 600, 1_500, 64));
+        let ids = cluster.register_many(specs).unwrap();
+        let primary = cluster.primary().unwrap();
+        for &id in &ids[..SLOW] {
+            assert!(primary.send_period(id).unwrap() > outage + settle);
+        }
+        cluster.run_for(crash + outage + settle);
+
+        let plan = &cluster.catch_up_plans()[0];
+        assert_eq!(plan.path.name(), "full_transfer");
+        assert!(plan.bytes > u64::from(u16::MAX), "{} B", plan.bytes);
+        assert!(cluster.fault_report()[1].recovery_time().is_some());
+        let primary = cluster.primary().unwrap();
+        let rejoiner = cluster.sim.world().hosts[0].backup.as_ref().unwrap();
+        let missing: Vec<_> = ids
+            .iter()
+            .filter(|&&id| primary.store().get(id).unwrap().value().is_some())
+            .filter(|&&id| rejoiner.store().get(id).unwrap().value().is_none())
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "{} objects never installed",
+            missing.len()
+        );
+        assert!(ids[..SLOW]
+            .iter()
+            .all(|&id| primary.store().get(id).unwrap().value().is_some()));
+    }
+
+    #[test]
+    fn batches_over_sixty_four_kib_reach_every_backup() {
+        // 1,000 objects of 2 KiB coalesced in a 20 ms window: every
+        // batch frame is tens of 2 KiB members. The primary crashes at
+        // the end so no frame is in flight when the counts are compared.
+        const SIZE: usize = 2_048;
+        let plan = FaultPlan::new().at(Time::from_millis(2_000), FaultEvent::CrashPrimary);
+        let mut config = bulk_load_config(plan);
+        config.bus = EventBus::with_capacity(1 << 16);
+        config.protocol.coalesce_window = ms(20);
+        let mut cluster = SimCluster::new(config);
+        let ids = cluster
+            .register_many(vec![bulk_spec(50, 100, 500, SIZE); 1_000])
+            .unwrap();
+        cluster.run_for(TimeDelta::from_millis(2_100));
+
+        let largest = cluster
+            .bus()
+            .collect()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::BatchSent { size, .. } => Some(size),
+                _ => None,
+            })
+            .max()
+            .unwrap();
+        assert!(largest as usize * SIZE > usize::from(u16::MAX), "{largest}");
+        let sent = cluster.metrics().updates_sent();
+        assert!(sent > 0);
+        assert_eq!(cluster.metrics().updates_lost(), 0);
+        for backup in cluster.backups() {
+            assert_eq!(backup.updates_applied(), sent);
+            assert!(ids
+                .iter()
+                .all(|&id| backup.store().get(id).unwrap().value().is_some()));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The RTPB wire protocol: message types and binary codec.
 //!
-//! These are the messages the primary and backup exchange through the
-//! x-kernel stack (paper §4.1): object updates, heartbeat pings/acks,
+//! These are the messages the primary and backup exchange (the anchor
+//! protocol of paper §4.1): object updates, heartbeat pings/acks,
 //! backup-initiated retransmission requests (§4.3), the state-transfer
 //! messages used to integrate a new backup after a failure (§4.4), and the
 //! anti-entropy resync exchange a deposed primary runs after a partition
@@ -14,12 +14,14 @@
 //! owned by its successor (see `DESIGN.md` §10).
 //!
 //! The codec is a hand-rolled length-prefixed binary format so that the
-//! protocol stack carries real bytes (and so corruption tests are
-//! meaningful), not in-process object references.
+//! links carry real bytes (and so corruption tests are meaningful), not
+//! in-process object references.
 //!
 //! Every **outermost** frame ends in a 4-byte CRC32C trailer computed over
 //! the frame body at [`WireMessage::encode_into`] time and verified first
-//! thing by [`WireFrame::parse`] (DESIGN.md §15). Batch sub-frames are
+//! thing by [`WireFrame::parse`] (DESIGN.md §15). The sealed frame is the
+//! whole wire image: no transport header wraps it, and this trailer is
+//! the only checksum. Batch sub-frames are
 //! covered by their enclosing frame's checksum and carry no trailer of
 //! their own. A frame whose trailer does not match is rejected with the
 //! typed [`CodecError::ChecksumMismatch`] before any field of the body is

@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 /// A cheaply cloneable, immutable slice of bytes.
 ///
-/// Backed by an `Arc<[u8]>`, so cloning a [`Message`](crate::Message) shares
-/// the underlying storage instead of copying payloads — the property the
-/// header-stack discipline relies on when a message fans out to several
-/// backups.
+/// Backed by an `Arc<[u8]>`, so cloning a frame (or a
+/// [`Message`](crate::Message)) shares the underlying storage instead of
+/// copying it — what lets one encoded frame fan out to several backups
+/// and to duplicate deliveries.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct Bytes {
     data: Arc<[u8]>,

@@ -1,37 +1,46 @@
-//! An x-kernel-inspired protocol stack and a lossy bounded-delay link.
+//! The network substrate: a lossy bounded-delay link, plus the paper's
+//! x-kernel protocol stack kept as a documented substitution.
 //!
-//! The paper's prototype is "a user-level x-kernel based server": the RTPB
-//! protocol is an *anchor protocol* composed above UDP in an explicit
-//! protocol graph (paper §4.1, citing Hutchinson & Peterson). This crate
-//! reproduces that substrate:
+//! - [`LossyLink`]: the network model — Bernoulli or bursty loss,
+//!   duplication, reordering, corruption, and uniformly distributed
+//!   delay bounded by `ℓ`, the communication-delay bound all of the
+//!   paper's backup-consistency results assume. The simulator carries
+//!   every frame over it; the real-clock runtime reuses its
+//!   [`LinkConfig`].
+//! - [`Bytes`]: the cheaply cloneable byte buffer a frame travels in.
 //!
-//! - [`Message`]: a payload plus a stack of headers, manipulated with the
-//!   x-kernel's push/pop discipline as a message moves down and up the
-//!   stack.
-//! - [`Protocol`] and [`ProtocolGraph`]: the uniform protocol interface and
-//!   a composable linear graph of protocol layers.
-//! - Concrete layers: [`UdpLike`] (unreliable datagrams with a
-//!   length/checksum header) and [`SequencedLayer`] (sequence numbers for
-//!   gap detection — how the backup notices lost updates and requests
-//!   retransmission).
-//! - [`LossyLink`]: the network model — Bernoulli loss and uniformly
-//!   distributed delay bounded by `ℓ`, the communication-delay bound all
-//!   of the paper's backup-consistency results assume.
+//! Frames on the simulator's data path are the wire codec's own encoding
+//! (`rtpb_core::wire`), sealed by a CRC32C trailer. That trailer is the
+//! only framing and checksum: the link hands the frame's bytes to the
+//! receiver unchanged, or with the bit flip it reports.
+//!
+//! # The x-kernel substrate
+//!
+//! The paper's prototype is "a user-level x-kernel based server": the
+//! RTPB protocol is an *anchor protocol* composed above UDP in an
+//! explicit protocol graph (paper §4.1, citing Hutchinson & Peterson).
+//! This crate keeps that substrate under test, off the data path:
+//!
+//! - [`Message`]: a payload plus a stack of headers, manipulated with
+//!   the x-kernel's push/pop discipline as a message moves down and up
+//!   the stack.
+//! - [`Protocol`] and [`ProtocolGraph`]: the uniform protocol interface
+//!   and a composable linear graph of protocol layers.
+//! - [`UdpLike`]: unreliable datagrams with a length/checksum header and
+//!   UDP's 64 KiB size limit.
+//!
+//! Neither driver frames through this stack. A second checksum would only repeat
+//! the CRC32C trailer's, and the 64 KiB limit would refuse large batches
+//! and catch-up frames that the simulated link carries whole.
 //!
 //! # Examples
 //!
 //! ```
-//! use rtpb_net::{Message, ProtocolGraph, SequencedLayer, UdpLike};
+//! use rtpb_net::{Message, ProtocolGraph, UdpLike};
 //!
 //! # fn main() -> Result<(), rtpb_net::ProtocolError> {
-//! let mut sender = ProtocolGraph::builder()
-//!     .layer(SequencedLayer::new())
-//!     .layer(UdpLike::new())
-//!     .build();
-//! let mut receiver = ProtocolGraph::builder()
-//!     .layer(SequencedLayer::new())
-//!     .layer(UdpLike::new())
-//!     .build();
+//! let mut sender = ProtocolGraph::builder().layer(UdpLike::new()).build();
+//! let mut receiver = ProtocolGraph::builder().layer(UdpLike::new()).build();
 //!
 //! let wire = sender.send(Message::from_payload(b"update v1".to_vec()))?;
 //! let delivered = receiver.receive(wire)?.expect("not consumed");
@@ -44,15 +53,13 @@
 #![warn(missing_docs)]
 
 mod bytes;
-mod graph_config;
 mod link;
 mod message;
 mod protocol;
 mod udp;
 
 pub use bytes::Bytes;
-pub use graph_config::{GraphConfigError, LayerFactory, ProtocolRegistry};
 pub use link::{FaultKind, FaultWindow, GilbertElliott, LinkConfig, LinkOutcome, LossyLink};
 pub use message::Message;
 pub use protocol::{Protocol, ProtocolError, ProtocolGraph, ProtocolGraphBuilder};
-pub use udp::{SequencedLayer, UdpLike};
+pub use udp::UdpLike;

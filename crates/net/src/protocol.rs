@@ -41,7 +41,7 @@ impl Error for ProtocolError {}
 /// [`Protocol::pop`].
 ///
 /// A layer may consume an inbound message (returning `Ok(None)`) — e.g. a
-/// sequencing layer suppressing a duplicate — or annotate and forward it.
+/// layer suppressing a duplicate — or annotate and forward it.
 pub trait Protocol {
     /// Stable layer name, used in errors and graph descriptions.
     fn name(&self) -> &'static str;
@@ -63,8 +63,8 @@ pub trait Protocol {
 }
 
 /// A linear composition of protocol layers, top (application-nearest)
-/// first — the x-kernel protocol graph restricted to the single path RTPB
-/// uses (`RTPB / UDP / link`).
+/// first — the x-kernel protocol graph restricted to the single path the
+/// paper's prototype uses (`RTPB / UDP / link`).
 ///
 /// # Examples
 ///
@@ -156,15 +156,6 @@ impl ProtocolGraphBuilder {
     #[must_use]
     pub fn layer(mut self, layer: impl Protocol + Send + 'static) -> Self {
         self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Adds an already-boxed layer (used by the
-    /// [`ProtocolRegistry`](crate::ProtocolRegistry), whose factories
-    /// produce trait objects).
-    #[must_use]
-    pub fn layer_boxed(mut self, layer: Box<dyn Protocol + Send>) -> Self {
-        self.layers.push(layer);
         self
     }
 
