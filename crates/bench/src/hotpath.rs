@@ -1,9 +1,9 @@
 //! The hot-path microbench: per-operation cost of the encode / decode /
 //! apply loop the wire rewrite optimises.
 //!
-//! Eight scenarios, paired so every zero-copy path is measured against a
-//! reference implementation of the pre-change algorithm on identical
-//! inputs (asserted byte-identical before timing):
+//! The encode and decode scenarios are paired so every zero-copy path is
+//! measured against a reference implementation of the pre-change
+//! algorithm on identical inputs (asserted byte-identical before timing):
 //!
 //! | scenario                | measures                                    |
 //! |-------------------------|---------------------------------------------|
@@ -14,6 +14,7 @@
 //! | `decode_view`           | borrowing [`WireFrame`] parse               |
 //! | `decode_owned`          | owned [`WireMessage::decode`]               |
 //! | `primary_apply`         | `Primary::apply_client_write`               |
+//! | `primary_apply_10k`     | the same, round-robin over 10,000 objects   |
 //! | `backup_apply`          | parse + `Backup::handle_frame`              |
 //! | `checksum_batch`        | raw CRC32C over one batch frame image       |
 //! | `decode_view_corrupt`   | borrowing parse *rejecting* a flipped bit   |
@@ -24,6 +25,10 @@
 //! honestly. The last two scenarios isolate that cost: the raw CRC pass
 //! over a batch image, and the price of *detecting* a corrupted frame
 //! (full checksum pass, then the typed error — never a panic).
+//!
+//! `primary_apply_10k` prices the write path against store size: its
+//! writes span hundreds of log snapshots, so any per-snapshot cost that
+//! grows with the object count shows up as a gap to `primary_apply`.
 //!
 //! Each scenario reports ns/op and (when the caller supplies an
 //! allocation counter — the `hotpath` binary installs a counting global
@@ -53,7 +58,7 @@ use std::time::Instant;
 pub type AllocCounter = fn() -> u64;
 
 /// Every scenario the suite runs, in report order.
-pub const SCENARIOS: [&str; 10] = [
+pub const SCENARIOS: [&str; 11] = [
     "encode_update_pooled",
     "encode_update_legacy",
     "encode_batch_pooled",
@@ -61,10 +66,14 @@ pub const SCENARIOS: [&str; 10] = [
     "decode_view",
     "decode_owned",
     "primary_apply",
+    "primary_apply_10k",
     "backup_apply",
     "checksum_batch",
     "decode_view_corrupt",
 ];
+
+/// Objects registered by the `primary_apply_10k` scenario.
+const STORE_OBJECTS: usize = 10_000;
 
 /// Parameters of one suite run.
 #[derive(Debug, Clone)]
@@ -358,6 +367,38 @@ pub fn run_suite(config: &HotpathConfig, counter: Option<AllocCounter>) -> Hotpa
             #[allow(deprecated)]
             let v = primary.apply_client_write(*id, payload.clone(), Time::from_millis(1));
             black_box(v.expect("write accepted"));
+        },
+    ));
+    scenarios.push(bench(
+        "primary_apply_10k",
+        config,
+        counter,
+        || {
+            let mut primary = Primary::new(
+                NodeId::new(0),
+                ProtocolConfig {
+                    admission_enabled: false,
+                    ..ProtocolConfig::default()
+                },
+            );
+            let specs = vec![bench_spec(config.payload_bytes); STORE_OBJECTS];
+            let ids = primary.register_many(&specs, Time::ZERO).ids;
+            assert_eq!(ids.len(), STORE_OBJECTS, "admission is off");
+            let payload = vec![0xA5u8; config.payload_bytes];
+            // Every slot already holds a value, so the timed writes
+            // reuse its buffer as `primary_apply`'s do.
+            for &id in &ids {
+                #[allow(deprecated)]
+                let v = primary.apply_client_write(id, payload.clone(), Time::ZERO);
+                v.expect("write accepted");
+            }
+            (primary, ids, payload, 0usize)
+        },
+        |(primary, ids, payload, next)| {
+            #[allow(deprecated)]
+            let v = primary.apply_client_write(ids[*next], payload.clone(), Time::from_millis(1));
+            black_box(v.expect("write accepted"));
+            *next = (*next + 1) % ids.len();
         },
     ));
     scenarios.push({

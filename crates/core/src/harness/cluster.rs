@@ -386,6 +386,12 @@ struct ClusterWorld {
     /// frame (insertion order; only populated when
     /// [`ProtocolConfig::batching_enabled`] holds).
     pending_batch: Vec<ObjectId>,
+    /// Whether each object (by index) is parked in `pending_batch` — the
+    /// O(1) membership test for the send-timer path.
+    batch_parked: Vec<bool>,
+    /// Scratch for the `(object, version)` pairs of each broadcast,
+    /// reused across sends.
+    sent_updates: Vec<(ObjectId, Version)>,
     /// Whether a [`Event::FlushBatch`] is already scheduled for the open
     /// coalescing window.
     batch_flush_scheduled: bool,
@@ -695,12 +701,8 @@ impl ClusterWorld {
             ctx.trace("primary partitioned: broadcast dropped");
             return;
         }
-        let tracked: Vec<NodeId> = self
-            .primary
-            .as_ref()
-            .map(Primary::backups)
-            .unwrap_or_default();
-        let mut updates = Vec::new();
+        let mut updates = std::mem::take(&mut self.sent_updates);
+        updates.clear();
         collect_updates(msg, &mut updates);
         let batch_size = match msg {
             WireMessage::Batch { messages, .. } => Some(messages.len() as u64),
@@ -715,7 +717,9 @@ impl ClusterWorld {
         };
         for i in 0..self.hosts.len() {
             let to = self.hosts[i].node;
-            if self.hosts[i].backup.is_none() || !tracked.contains(&to) {
+            if self.hosts[i].backup.is_none()
+                || !self.primary.as_ref().is_some_and(|p| p.tracks(to))
+            {
                 continue;
             }
             // One loss/delay decision per frame, batched or not.
@@ -746,6 +750,7 @@ impl ClusterWorld {
                 }
             }
         }
+        self.sent_updates = updates;
     }
 
     /// Sends a message from the primary to one specific backup host
@@ -1935,7 +1940,12 @@ impl World for ClusterWorld {
                     // Coalescing pipeline: park the object and flush the
                     // whole set one coalescing window later, as a single
                     // frame through a single CPU transmission.
-                    if !self.pending_batch.contains(&object) {
+                    let slot = object.index() as usize;
+                    if slot >= self.batch_parked.len() {
+                        self.batch_parked.resize(slot + 1, false);
+                    }
+                    if !self.batch_parked[slot] {
+                        self.batch_parked[slot] = true;
                         self.pending_batch.push(object);
                     }
                     if !self.batch_flush_scheduled {
@@ -1965,6 +1975,9 @@ impl World for ClusterWorld {
                 // objects gone from the store contribute nothing.
                 self.batch_flush_scheduled = false;
                 let ids = std::mem::take(&mut self.pending_batch);
+                for id in &ids {
+                    self.batch_parked[id.index() as usize] = false;
+                }
                 let local = self.primary_local(ctx.now());
                 let Some(primary) = self.primary.as_mut() else {
                     return;
@@ -2411,6 +2424,8 @@ impl SimCluster {
             window_faults: Vec::new(),
             last_shed_at: None,
             pending_batch: Vec::new(),
+            batch_parked: Vec::new(),
+            sent_updates: Vec::new(),
             batch_flush_scheduled: false,
             catch_up_plans: Vec::new(),
             send_pool: BufPool::new(),

@@ -14,12 +14,20 @@
 //!
 //! - A hard retention cap ([`ProtocolConfig::log_retention`]): the oldest
 //!   record is dropped once the ring is full.
-//! - Periodic store snapshots ([`ProtocolConfig::snapshot_interval`]
-//!   appends apart): a snapshot records every object's `(write_epoch,
-//!   version)` freshness tag, and records at or before the oldest retained
-//!   snapshot are truncated — a gap that predates the ring can still be
-//!   served as a *snapshot diff* (only objects whose tag moved since the
-//!   snapshot) rather than a full transfer.
+//! - Periodic snapshots ([`ProtocolConfig::snapshot_interval`] appends
+//!   apart): a snapshot is a checksummed *watermark* — the log head at
+//!   the instant it was cut, O(1) to take — and records at or before the
+//!   oldest retained watermark are truncated. A gap that predates the
+//!   ring can still be served as a *snapshot diff*: every object whose
+//!   newest log record ([`UpdateLog::latest_seq`]) lies above the
+//!   watermark. Within one log epoch an object's freshness tag moves only
+//!   through a logged write (promotion starts a fresh log), so "logged
+//!   after the watermark" is exactly "tag moved since the snapshot".
+//!
+//! The per-object last-write index behind [`UpdateLog::latest_seq`]
+//! survives truncation and carries its own O(1)-maintained checksum (an
+//! XOR-fold of CRC32C over each `(object, seq)` pair), re-verified before
+//! a diff is built from it ([`UpdateLog::verify_latest`]).
 //!
 //! The three catch-up paths a primary can choose are named by
 //! [`CatchUpPath`] and surfaced in traces as `catch_up_plan` events.
@@ -68,26 +76,31 @@ impl LogRecord {
     }
 }
 
-/// A periodic store snapshot: every registered object's `(write_epoch,
-/// version)` freshness tag as of one log sequence number.
+/// A periodic snapshot watermark: the log head at the instant the
+/// snapshot was cut, sealed with its own checksum.
 ///
-/// A snapshot is *metadata only* — the store itself is the snapshot's
-/// payload, consulted lazily when a gap is served from it.
+/// A snapshot copies nothing — the store is its payload and the log's
+/// per-object last-write index says what moved since: an object ships in
+/// a diff against this snapshot when its newest record lies above
+/// [`LogSnapshot::seq`].
 #[derive(Debug, Clone)]
 pub struct LogSnapshot {
     seq: u64,
-    tags: BTreeMap<ObjectId, (Epoch, Version)>,
     crc: u32,
 }
 
-fn snapshot_crc(seq: u64, tags: &BTreeMap<ObjectId, (Epoch, Version)>) -> u32 {
+fn watermark_crc(seq: u64) -> u32 {
     let mut c = Crc32c::new();
     c.update_u64(seq);
-    for (id, (epoch, version)) in tags {
-        c.update_u32(id.index());
-        c.update_u64(epoch.value());
-        c.update_u64(version.value());
-    }
+    c.finalize()
+}
+
+/// One `(object, seq)` pair's contribution to the last-write index's
+/// XOR-folded checksum.
+fn latest_crc(object: ObjectId, seq: u64) -> u32 {
+    let mut c = Crc32c::new();
+    c.update_u32(object.index());
+    c.update_u64(seq);
     c.finalize()
 }
 
@@ -98,31 +111,12 @@ impl LogSnapshot {
         self.seq
     }
 
-    /// The freshness tag the object had at snapshot time, if it was
-    /// registered then.
-    #[must_use]
-    pub fn tag(&self, object: ObjectId) -> Option<(Epoch, Version)> {
-        self.tags.get(&object).copied()
-    }
-
-    /// Number of objects captured.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether the snapshot captured no objects.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// Whether the snapshot still matches the checksum taken when it was
-    /// cut. A snapshot that fails is unusable as a diff basis — the
+    /// Whether the watermark still matches the checksum taken when it
+    /// was cut. A snapshot that fails is unusable as a diff basis — the
     /// catch-up ladder falls through to a full transfer.
     #[must_use]
     pub fn verify(&self) -> bool {
-        self.crc == snapshot_crc(self.seq, &self.tags)
+        self.crc == watermark_crc(self.seq)
     }
 }
 
@@ -182,8 +176,12 @@ pub struct UpdateLog {
     records: VecDeque<LogRecord>,
     next_seq: u64,
     /// Highest appended seq per object — survives truncation, so updates
-    /// can always be stamped with the object's latest log coordinate.
+    /// can always be stamped with the object's latest log coordinate, and
+    /// a snapshot diff can tell which objects moved past a watermark.
     latest: BTreeMap<ObjectId, u64>,
+    /// XOR-fold of [`latest_crc`] over every entry of `latest`, updated
+    /// on each append (DESIGN.md §15).
+    latest_crc: u32,
     snapshots: VecDeque<LogSnapshot>,
     appends_since_snapshot: u64,
     truncated: u64,
@@ -202,6 +200,7 @@ impl UpdateLog {
             records: VecDeque::new(),
             next_seq: 1,
             latest: BTreeMap::new(),
+            latest_crc: 0,
             snapshots: VecDeque::new(),
             appends_since_snapshot: 0,
             truncated: 0,
@@ -266,7 +265,10 @@ impl UpdateLog {
         };
         record.crc = record.compute_crc();
         self.records.push_back(record);
-        self.latest.insert(object, seq);
+        if let Some(old) = self.latest.insert(object, seq) {
+            self.latest_crc ^= latest_crc(object, old);
+        }
+        self.latest_crc ^= latest_crc(object, seq);
         while self.records.len() > self.retention {
             self.records.pop_front();
             self.truncated += 1;
@@ -275,22 +277,36 @@ impl UpdateLog {
         seq
     }
 
+    /// Whether the last-write index still matches the checksum folded in
+    /// as it was maintained. O(objects ever logged): callers check it once
+    /// per snapshot diff, the only consumer that trusts the whole index.
+    #[must_use]
+    pub fn verify_latest(&self) -> bool {
+        let folded = self
+            .latest
+            .iter()
+            .fold(0, |acc, (&object, &seq)| acc ^ latest_crc(object, seq));
+        folded == self.latest_crc
+    }
+
     /// Whether enough appends have accumulated that the owner should take
-    /// a store snapshot.
+    /// a snapshot.
     #[must_use]
     pub fn snapshot_due(&self) -> bool {
         self.appends_since_snapshot >= self.snapshot_interval
     }
 
-    /// Records a snapshot of the store's current freshness tags at the log
-    /// head, retires snapshots beyond the retained count, and truncates
-    /// records the oldest retained snapshot makes redundant.
+    /// Cuts a snapshot watermark at the log head — O(1), nothing is
+    /// copied — retires watermarks beyond the retained count, and
+    /// truncates records the oldest retained watermark makes redundant.
     ///
     /// Returns `(head_seq, records_retained_after_truncation)`.
-    pub fn take_snapshot(&mut self, tags: BTreeMap<ObjectId, (Epoch, Version)>) -> (u64, u64) {
+    pub fn take_snapshot(&mut self) -> (u64, u64) {
         let seq = self.head();
-        let crc = snapshot_crc(seq, &tags);
-        self.snapshots.push_back(LogSnapshot { seq, tags, crc });
+        self.snapshots.push_back(LogSnapshot {
+            seq,
+            crc: watermark_crc(seq),
+        });
         while self.snapshots.len() > self.snapshots_retained {
             self.snapshots.pop_front();
         }
@@ -344,6 +360,18 @@ impl UpdateLog {
             let at = byte % record.payload.len();
             record.payload[at] ^= mask.max(1);
         }
+        true
+    }
+
+    /// Test hook: flips `mask` into the last-write index entry for
+    /// `object` *without* refreshing the folded checksum. Returns `false`
+    /// when the object was never logged.
+    #[cfg(test)]
+    pub(crate) fn corrupt_latest(&mut self, object: ObjectId, mask: u64) -> bool {
+        let Some(seq) = self.latest.get_mut(&object) else {
+            return false;
+        };
+        *seq ^= mask.max(1);
         true
     }
 }
@@ -409,11 +437,11 @@ mod tests {
         let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(1_000, 4, 2));
         append_n(&mut log, 4);
         assert!(log.snapshot_due());
-        let (s1, _) = log.take_snapshot(BTreeMap::new());
+        let (s1, _) = log.take_snapshot();
         assert_eq!(s1, 4);
         assert!(!log.snapshot_due());
         append_n(&mut log, 4);
-        let (s2, _) = log.take_snapshot(BTreeMap::new());
+        let (s2, _) = log.take_snapshot();
         assert_eq!(s2, 8);
         // Two snapshots retained (at 4 and 8): records ≤ 4 truncated.
         assert_eq!(log.len(), 4);
@@ -421,7 +449,7 @@ mod tests {
         assert!(log.suffix_after(3).is_none());
         // A third snapshot retires the one at 4; floor moves to 8.
         append_n(&mut log, 4);
-        log.take_snapshot(BTreeMap::new());
+        log.take_snapshot();
         assert!(log.suffix_after(8).is_some());
         assert!(log.suffix_after(7).is_none());
         assert_eq!(log.snapshot_at_or_before(9).unwrap().seq(), 8);
@@ -429,20 +457,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_tags_answer_freshness_queries() {
-        let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(8, 2, 2));
-        append_n(&mut log, 2);
-        let mut tags = BTreeMap::new();
-        tags.insert(ObjectId::new(0), (Epoch::INITIAL, Version::new(1)));
-        let (seq, _) = log.take_snapshot(tags);
+    fn snapshot_is_a_watermark_the_latest_index_is_compared_against() {
+        let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(8, 3, 2));
+        append_n(&mut log, 3);
+        let (seq, _) = log.take_snapshot();
+        assert_eq!(seq, 3);
+        // One more write to object 1: only it moved past the watermark.
+        log.append(ObjectId::new(1), Version::new(9), Time::ZERO, vec![]);
         let snap = log.snapshot_at_or_before(seq).unwrap();
-        assert_eq!(snap.len(), 1);
-        assert!(!snap.is_empty());
-        assert_eq!(
-            snap.tag(ObjectId::new(0)),
-            Some((Epoch::INITIAL, Version::new(1)))
-        );
-        assert_eq!(snap.tag(ObjectId::new(1)), None);
+        let moved: Vec<u32> = (0..3)
+            .filter(|&i| {
+                log.latest_seq(ObjectId::new(i))
+                    .is_some_and(|s| s > snap.seq())
+            })
+            .collect();
+        assert_eq!(moved, vec![1]);
     }
 
     #[test]
@@ -479,12 +508,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_verify_their_tags() {
+    fn snapshots_verify_their_watermark() {
         let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(8, 2, 2));
         append_n(&mut log, 2);
-        let mut tags = BTreeMap::new();
-        tags.insert(ObjectId::new(0), (Epoch::INITIAL, Version::new(1)));
-        let (seq, _) = log.take_snapshot(tags);
+        let (seq, _) = log.take_snapshot();
         assert!(log.snapshot_at_or_before(seq).unwrap().verify());
+    }
+
+    #[test]
+    fn latest_index_checksum_tracks_appends_and_catches_corruption() {
+        let mut log = UpdateLog::new(Epoch::INITIAL, &cfg(2, 4, 2));
+        assert!(log.verify_latest());
+        // Overwrites and truncation keep the fold in step with the index.
+        append_n(&mut log, 11);
+        log.take_snapshot();
+        assert!(log.verify_latest());
+        assert!(!log.corrupt_latest(ObjectId::new(7), 1));
+        assert!(log.corrupt_latest(ObjectId::new(2), 0x10));
+        assert!(!log.verify_latest());
     }
 }

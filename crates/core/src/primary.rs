@@ -187,6 +187,10 @@ pub struct Primary {
     /// Integrity incidents (checksum failures) since the driver last
     /// drained them.
     integrity_events: Vec<IntegrityEvent>,
+    /// The version each quarantined image held when the scrubber dropped
+    /// it, until the object's next write mints above it: backups may
+    /// still hold that version, so the counter must never rewind.
+    quarantine_floor: BTreeMap<ObjectId, Version>,
 }
 
 impl Primary {
@@ -225,6 +229,7 @@ impl Primary {
             next_scrub_at: Time::ZERO,
             scrub_digest: None,
             integrity_events: Vec::new(),
+            quarantine_floor: BTreeMap::new(),
         }
     }
 
@@ -250,6 +255,12 @@ impl Primary {
     /// Stops tracking `backup` (declared dead or decommissioned).
     pub fn remove_backup(&mut self, backup: NodeId) -> bool {
         self.peers.remove(&backup).is_some()
+    }
+
+    /// Whether `backup` is currently tracked as a replica.
+    #[must_use]
+    pub(crate) fn tracks(&self, backup: NodeId) -> bool {
+        self.peers.contains_key(&backup)
     }
 
     /// The tracked backups, in id order.
@@ -310,6 +321,7 @@ impl Primary {
             next_scrub_at: now,
             scrub_digest: None,
             integrity_events: Vec::new(),
+            quarantine_floor: BTreeMap::new(),
         }
     }
 
@@ -480,6 +492,7 @@ impl Primary {
         let removed = self.store.deregister(id).is_some();
         if removed {
             self.constraints.retain(|c| !c.involves(id));
+            self.quarantine_floor.remove(&id);
         }
         removed
     }
@@ -544,7 +557,12 @@ impl Primary {
         {
             return None;
         }
-        let next = self.store.get(id)?.version().next();
+        let current = self.store.get(id)?.version();
+        let next = self
+            .quarantine_floor
+            .remove(&id)
+            .map_or(current, |floor| floor.max(current))
+            .next();
         // Install from the borrowed payload first (reusing the slot's
         // existing buffer), then move the vec into the log — one write,
         // one buffer copy, zero extra allocations in steady state.
@@ -555,12 +573,7 @@ impl Primary {
         self.log.append(id, next, now, payload);
         self.writes_applied += 1;
         if self.log.snapshot_due() {
-            let tags = self
-                .store
-                .iter()
-                .map(|(oid, e)| (oid, (e.write_epoch(), e.version())))
-                .collect();
-            let mark = self.log.take_snapshot(tags);
+            let mark = self.log.take_snapshot();
             self.snapshot_marks.push(mark);
         }
         Some(next)
@@ -946,7 +959,8 @@ impl Primary {
         }
         let ranges = self.config.scrub_ranges.max(1);
         let range = self.scrub_cursor % ranges;
-        for id in self.store.audit_range(range, ranges) {
+        for (id, version) in self.store.audit_range(range, ranges) {
+            self.quarantine_floor.insert(id, version);
             self.integrity_events.push(IntegrityEvent::Violation {
                 source: IntegritySource::StoreEntry,
                 object: Some(id),
@@ -1054,23 +1068,25 @@ impl Primary {
     }
 
     /// A partial state transfer against the newest retained snapshot at
-    /// or before the requester's position: only objects whose
-    /// `(write_epoch, version)` tag moved since that snapshot ship. The
-    /// requester may already hold some of them (its position can be ahead
-    /// of the snapshot); replay through the store's ordering makes the
-    /// overshoot idempotent.
+    /// or before the requester's position: only objects whose newest log
+    /// record lies above that snapshot's watermark ship — within one log
+    /// epoch, exactly the objects whose `(write_epoch, version)` tag moved
+    /// since the snapshot. The requester may already hold some of them
+    /// (its position can be ahead of the snapshot); replay through the
+    /// store's ordering makes the overshoot idempotent.
     ///
-    /// The snapshot's own checksum is re-verified first; a corrupt
-    /// snapshot is withheld (pushing an [`IntegrityEvent`]) and the
-    /// requester falls to the full-transfer rung.
+    /// The watermark's checksum and the log's last-write index checksum
+    /// are re-verified first; a failure withholds the diff (pushing an
+    /// [`IntegrityEvent`]) and the requester falls to the full-transfer
+    /// rung.
     fn snapshot_diff_reply(&mut self, position: Option<LogPosition>) -> Option<WireMessage> {
         let p = position?;
         if p.epoch() != self.log.epoch() {
             return None;
         }
         let snap = self.log.snapshot_at_or_before(p.seq())?;
-        if !snap.verify() {
-            let seq = snap.seq();
+        let seq = snap.seq();
+        if !snap.verify() || !self.log.verify_latest() {
             self.integrity_events.push(IntegrityEvent::Violation {
                 source: IntegritySource::LogSnapshot,
                 object: None,
@@ -1081,10 +1097,10 @@ impl Primary {
         let entries = self
             .store
             .iter()
+            .filter(|&(id, _)| self.log.latest_seq(id).is_some_and(|s| s > seq))
             .filter_map(|(id, entry)| {
                 let value = entry.value()?;
-                let had = snap.tag(id).unwrap_or((Epoch::INITIAL, Version::INITIAL));
-                ((entry.write_epoch(), value.version()) > had).then(|| StateEntry {
+                Some(StateEntry {
                     object: id,
                     version: value.version(),
                     timestamp: value.timestamp(),
@@ -2129,5 +2145,202 @@ mod tests {
         // cycle of four ticks, and only once: the entry is quarantined.
         assert_eq!(reported_on, vec![(2, victim)]);
         assert!(p.store().get(victim).unwrap().value().is_none());
+    }
+
+    #[test]
+    fn quarantine_never_rewinds_the_version_counter() {
+        use crate::backup::Backup;
+
+        let config = ProtocolConfig {
+            scrub_interval: ms(100),
+            scrub_ranges: 1,
+            ..ProtocolConfig::default()
+        };
+        let mut p = Primary::new(NodeId::new(0), config.clone());
+        p.add_backup(NodeId::new(1), Time::ZERO);
+        let id = p.register(spec(), Time::ZERO).unwrap();
+        let mut backup = Backup::new(NodeId::new(1), config);
+        for (oid, ospec, period) in p.registry() {
+            backup.sync_registration(oid, ospec, period, Time::ZERO);
+        }
+        for i in 1..=5u64 {
+            p.apply_write(id, vec![i as u8], t(i)).unwrap();
+        }
+        backup.handle_message(&p.make_update(id, t(6)).unwrap(), t(6));
+        assert_eq!(backup.store().get(id).unwrap().version(), Version::new(5));
+
+        assert!(p.corrupt_stored_payload(id, 0, 0x10));
+        p.tick_heartbeat(t(100));
+        assert!(p.store().get(id).unwrap().value().is_none(), "quarantined");
+
+        let v = p.apply_write(id, vec![9], t(101)).unwrap();
+        assert!(v > Version::new(5), "minted {v} after quarantining v5");
+        backup.handle_message(&p.make_update(id, t(102)).unwrap(), t(102));
+        let held = backup.store().get(id).unwrap();
+        assert_eq!(
+            held.version(),
+            v,
+            "backup installs the post-quarantine write"
+        );
+        assert_eq!(held.value().unwrap().payload(), &[9]);
+        // No two log records share an (object, version).
+        let versions: Vec<Version> = p
+            .log()
+            .suffix_after(0)
+            .unwrap()
+            .map(|r| r.version)
+            .collect();
+        assert!(versions.windows(2).all(|w| w[0] < w[1]), "{versions:?}");
+    }
+
+    /// Propcheck oracle for the watermark snapshot diff: over random
+    /// histories of writes, mid-stream registrations, deregistrations,
+    /// scrubber quarantines and a promotion through `from_store`, a diff
+    /// against each retained snapshot ships exactly the objects whose
+    /// `(write_epoch, version)` tag moved since a tag map copied at that
+    /// snapshot — the pre-watermark computation, kept here as reference.
+    #[test]
+    fn watermark_diff_ships_what_a_tag_map_diff_would() {
+        use rtpb_sim::propcheck::{run_cases, Gen};
+        use std::collections::VecDeque;
+
+        type Tags = BTreeMap<ObjectId, (Epoch, Version)>;
+
+        fn tags(p: &Primary) -> Tags {
+            p.store()
+                .iter()
+                .map(|(id, e)| (id, (e.write_epoch(), e.version())))
+                .collect()
+        }
+
+        fn check(p: &mut Primary, snapshots: &VecDeque<(u64, Tags)>) {
+            for (seq, snap) in snapshots {
+                let want: Vec<ObjectId> = p
+                    .store()
+                    .iter()
+                    .filter(|(id, e)| {
+                        let had = snap
+                            .get(id)
+                            .copied()
+                            .unwrap_or((Epoch::INITIAL, Version::INITIAL));
+                        e.value()
+                            .is_some_and(|v| (e.write_epoch(), v.version()) > had)
+                    })
+                    .map(|(id, _)| id)
+                    .collect();
+                let position = LogPosition::new(p.log().epoch(), *seq);
+                let Some(WireMessage::StateTransfer { entries, .. }) =
+                    p.snapshot_diff_reply(Some(position))
+                else {
+                    panic!("snapshot at {seq} must serve a diff");
+                };
+                let got: Vec<ObjectId> = entries.iter().map(|e| e.object).collect();
+                assert_eq!(got, want, "diff against snapshot {seq}");
+            }
+        }
+
+        run_cases("watermark-diff-oracle", 60, |g: &mut Gen| {
+            let config = ProtocolConfig {
+                log_retention: g.usize_in(4, 64),
+                snapshot_interval: g.u64_in(2, 12),
+                snapshots_retained: g.usize_in(1, 4),
+                scrub_interval: ms(10),
+                scrub_ranges: 1,
+                ..ProtocolConfig::default()
+            };
+            // No backup ever joins, so writes need no lease.
+            let mut p = Primary::new(NodeId::new(0), config.clone());
+            let mut ids: Vec<ObjectId> = (0..g.usize_in(1, 5))
+                .map(|_| p.register(spec(), Time::ZERO).unwrap())
+                .collect();
+            let mut snapshots: VecDeque<(u64, Tags)> = VecDeque::new();
+            let promote_at = g.usize_in(0, 120);
+            let mut now = Time::ZERO;
+            for step in 0..120 {
+                now += ms(g.u64_in(1, 12));
+                if step == promote_at {
+                    p = Primary::from_store(
+                        NodeId::new(1),
+                        config.clone(),
+                        p.store().clone(),
+                        p.constraints.clone(),
+                        p.schedule.clone(),
+                        p.epoch().next(),
+                        now,
+                    );
+                    snapshots.clear();
+                }
+                match g.u64_in(0, 20) {
+                    0 => ids.push(p.register(spec(), now).unwrap()),
+                    1 if ids.len() > 1 => {
+                        let id = ids.swap_remove(g.usize_in(0, ids.len()));
+                        assert!(p.deregister(id));
+                    }
+                    2 | 3 => {
+                        let id = ids[g.usize_in(0, ids.len())];
+                        let before = p.store().get(id).unwrap().version();
+                        if p.corrupt_stored_payload(id, g.usize_in(0, 16), 0x20) {
+                            p.tick_heartbeat(now);
+                            now += ms(10);
+                            p.tick_heartbeat(now);
+                            assert!(p.store().get(id).unwrap().value().is_none());
+                            let v = p.apply_write(id, g.bytes(8), now).unwrap();
+                            assert!(v > before, "{v} minted after quarantining {before}");
+                        }
+                    }
+                    _ => {
+                        let id = ids[g.usize_in(0, ids.len())];
+                        p.apply_write(id, g.bytes(8), now).unwrap();
+                    }
+                }
+                for (seq, _) in p.take_snapshot_marks() {
+                    snapshots.push_back((seq, tags(&p)));
+                    if snapshots.len() > config.snapshots_retained {
+                        snapshots.pop_front();
+                    }
+                }
+                let _ = p.drain_integrity_events();
+                check(&mut p, &snapshots);
+            }
+        });
+    }
+
+    #[test]
+    fn corrupt_last_write_index_withholds_the_snapshot_diff() {
+        let config = ProtocolConfig {
+            log_retention: 4,
+            snapshot_interval: 6,
+            snapshots_retained: 2,
+            ..ProtocolConfig::default()
+        };
+        let mut p = Primary::new(NodeId::new(0), config);
+        p.add_backup(NodeId::new(1), Time::ZERO);
+        let a = p.register(spec(), Time::ZERO).unwrap();
+        let b = p.register(spec(), Time::ZERO).unwrap();
+        for i in 0..6u64 {
+            p.apply_write(a, vec![i as u8], t(i + 1));
+        }
+        for i in 0..10u64 {
+            p.apply_write(b, vec![i as u8], t(i + 10));
+        }
+        // Position 7 lies between the snapshot at 6 and the ring's floor:
+        // with an intact index this is the snapshot-diff rung (see
+        // `pre_retention_gap_falls_back_to_snapshot_diff_then_full`).
+        let join = WireMessage::JoinRequest {
+            epoch: Epoch::INITIAL,
+            from: NodeId::new(1),
+            position: Some(LogPosition::new(Epoch::INITIAL, 7)),
+        };
+        assert!(p.log.corrupt_latest(a, 0x4));
+        let out = p.handle_message(&join, t(40));
+        assert_eq!(out.catch_up.unwrap().path, CatchUpPath::FullTransfer);
+        assert_eq!(
+            p.drain_integrity_events(),
+            vec![IntegrityEvent::Violation {
+                source: IntegritySource::LogSnapshot,
+                object: None,
+                seq: Some(6),
+            }]
+        );
     }
 }

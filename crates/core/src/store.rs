@@ -270,12 +270,17 @@ impl ObjectStore {
     /// must never outrank its own repair. Returns the quarantined ids.
     pub fn audit(&mut self) -> Vec<ObjectId> {
         self.audit_range(0, 1)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// [`ObjectStore::audit`] restricted to range `range` of `ranges`:
     /// the objects whose index is `range` modulo `ranges`, the same
-    /// partition [`ObjectStore::range_digest`] covers.
-    pub fn audit_range(&mut self, range: u32, ranges: u32) -> Vec<ObjectId> {
+    /// partition [`ObjectStore::range_digest`] covers. Returns each
+    /// quarantined id with the version its dropped image held — a writer
+    /// must keep minting above it.
+    pub fn audit_range(&mut self, range: u32, ranges: u32) -> Vec<(ObjectId, Version)> {
         let ranges = ranges.max(1);
         let mut quarantined = Vec::new();
         for (&id, entry) in &mut self.entries {
@@ -283,10 +288,10 @@ impl ObjectStore {
                 continue;
             }
             if !entry.verify() {
+                quarantined.push((id, entry.version()));
                 entry.value = None;
                 entry.write_epoch = Epoch::INITIAL;
                 entry.crc = 0;
-                quarantined.push(id);
             }
         }
         quarantined
